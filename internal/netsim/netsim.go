@@ -278,14 +278,25 @@ func (f *Fabric) Start() {
 // Inject schedules every flow of the trace as an arrival event at its
 // sender, on the sender's shard. Trace order within a shard is preserved,
 // so arrivals tie-break identically at every shard count.
+//
+// The events point into one fabric-owned copy of the flows (so later
+// edits to tr cannot reach a scheduled arrival) and run the package-level
+// flowArrival, so injecting allocates nothing per flow; an
+// arrival-sorted trace flows through each engine's absolute-time lane.
 func (f *Fabric) Inject(tr *workload.Trace) {
-	for _, fl := range tr.Flows {
-		fl := fl
+	flows := make([]workload.Flow, len(tr.Flows))
+	copy(flows, tr.Flows)
+	for i := range flows {
+		fl := &flows[i]
 		h := f.hosts[fl.Src]
-		h.sh.eng.Schedule(fl.Arrival, func() {
-			h.proto.OnFlowArrival(fl)
-		})
+		h.sh.eng.ScheduleFunc(fl.Arrival, flowArrival, h, fl, 0)
 	}
+}
+
+// flowArrival is Inject's arrival event: a is the sender's *Host, b the
+// *workload.Flow.
+func flowArrival(a, b any, _ int) {
+	a.(*Host).proto.OnFlowArrival(*b.(*workload.Flow))
 }
 
 // Host is one end host: a protocol instance plus a NIC egress queue.

@@ -46,90 +46,117 @@ func (m BarrierMode) String() string {
 const barrierSpin = 256
 
 // workerSlot is one worker's half of the hybrid barrier. The coordinator
-// owns seq/until between epochs; cmd/parked are the only cross-goroutine
-// fields. The pad keeps neighbouring slots out of one cache line so a
-// worker spinning on its own cmd never bounces another worker's line.
+// owns seq/until between epochs; cmd is the only cross-goroutine field.
+// It packs the last released command number (shifted left one bit) with
+// the worker's parked flag (bit 0), so that a release publishes the new
+// command and claims the parked flag in one atomic swap — a release can
+// then only ever wake a park made while waiting for that very command.
+// The pad keeps neighbouring slots out of one cache line so a worker
+// spinning on its own cmd never bounces another worker's line.
 type workerSlot struct {
-	cmd    atomic.Uint64 // last released command number (monotonic)
-	parked atomic.Int32  // 1 while the waiter may be blocked on wake
-	until  Time          // barrier target; written before cmd, read after
-	seq    uint64        // coordinator-side: next command number to issue
-	wake   chan struct{} // park/unpark token channel, capacity 1
-	_      [64]byte
+	cmd   atomic.Uint64 // released command number << 1 | parked bit
+	until Time          // barrier target; written before cmd, read after
+	seq   uint64        // coordinator-side: next command number to issue
+	wake  chan struct{} // park/unpark token channel, capacity 1
+	_     [64]byte
 }
 
+// slotParked is the parked bit of workerSlot.cmd.
+const slotParked = 1
+
 // release publishes barrier target t as command n and unparks the worker
-// if it already went to sleep. The plain until write is ordered by the
-// atomic cmd store (release) / load (acquire) pair in await.
+// if it went to sleep waiting for it. The plain until write is ordered by
+// the atomic cmd swap (release) / load (acquire) pair in await.
 func (s *workerSlot) release(n uint64, t Time) {
 	s.until = t
-	s.cmd.Store(n)
-	if s.parked.Swap(0) == 1 {
+	if s.cmd.Swap(n<<1)&slotParked != 0 {
 		s.wake <- struct{}{}
 	}
 }
 
 // await blocks until command n has been released and returns its barrier
-// target. Spin-then-park: a bounded predicate spin, then a parked flag +
-// re-check + channel receive. The flag protocol cannot lose a wakeup:
-// whichever side swaps the 1 out of parked owns the token — if release
-// wins it sends one token, and the waiter (seeing its own swap return 0)
-// drains it; if the waiter wins there is no token in flight.
+// target. Spin-then-park: a bounded predicate spin, then a compare-and-
+// swap that sets the parked bit only while the released command is still
+// older than n, and a channel receive. The protocol cannot lose or
+// misdirect a wakeup: a park succeeds only against a command word that
+// no release has replaced yet, and the release that does replace it —
+// the one publishing n, since the coordinator releases in order — finds
+// the bit in the same swap and sends exactly one token.
 func (s *workerSlot) await(n uint64) Time {
 	for i := 0; i < barrierSpin; i++ {
-		if s.cmd.Load() >= n {
+		if s.cmd.Load()>>1 >= n {
 			return s.until
 		}
 		if i&15 == 15 {
 			runtime.Gosched()
 		}
 	}
-	s.parked.Store(1)
-	if s.cmd.Load() >= n {
-		if s.parked.Swap(0) == 0 {
-			<-s.wake // release consumed our flag; its token is in flight
+	for {
+		v := s.cmd.Load()
+		if v>>1 >= n {
+			return s.until
 		}
-		return s.until
+		if s.cmd.CompareAndSwap(v, v|slotParked) {
+			break
+		}
 	}
 	<-s.wake
 	return s.until
 }
 
-// joinBarrier is the coordinator's half of epoch completion: remaining
-// counts dispatched workers still running, and the coordinator parks
-// behind the same flag protocol the workers use.
+// joinBarrier is the coordinator's half of epoch completion. One word
+// packs both halves of the handshake: the low 32 bits count dispatched
+// workers still running, and joinParked marks the coordinator as parked
+// behind wake. Packing them is what makes the join lossless across
+// epochs: the last worker's decrement and its "is the coordinator
+// parked?" check are one atomic step, so a worker can never observe a
+// parked flag that belongs to a later epoch. (A separate flag word
+// would let a worker delayed between its final decrement and its flag
+// check find the coordinator already returned by spinning, re-armed for
+// the next epoch and parked again — and wake it while that epoch's
+// workers were still running.)
 type joinBarrier struct {
-	remaining atomic.Int32
-	parked    atomic.Int32
-	wake      chan struct{}
+	state atomic.Uint64
+	wake  chan struct{}
 }
 
+// joinParked is the coordinator-parked bit of joinBarrier.state.
+const joinParked = uint64(1) << 32
+
+// arm starts an epoch with n dispatched workers. Only called by the
+// coordinator between epochs, when no worker holds the join word.
+func (j *joinBarrier) arm(n int) { j.state.Store(uint64(n)) }
+
 // done is called by a worker arriving at the barrier; the last arrival
-// unparks the coordinator.
+// unparks the coordinator if — in the same atomic step — it finds the
+// parked bit set.
 func (j *joinBarrier) done() {
-	if j.remaining.Add(-1) == 0 {
-		if j.parked.Swap(0) == 1 {
-			j.wake <- struct{}{}
-		}
+	if j.state.Add(^uint64(0)) == joinParked {
+		j.wake <- struct{}{}
 	}
 }
 
-// wait blocks the coordinator until every dispatched worker has arrived.
+// wait blocks the coordinator until every dispatched worker has arrived:
+// a bounded spin, then a compare-and-swap that sets the parked bit only
+// while workers are still out. If the swap loses to the last decrement,
+// every worker has arrived and no token will be sent.
 func (j *joinBarrier) wait() {
 	for i := 0; i < barrierSpin; i++ {
-		if j.remaining.Load() == 0 {
+		if j.state.Load() == 0 {
 			return
 		}
 		if i&15 == 15 {
 			runtime.Gosched()
 		}
 	}
-	j.parked.Store(1)
-	if j.remaining.Load() == 0 {
-		if j.parked.Swap(0) == 0 {
-			<-j.wake
+	for {
+		v := j.state.Load()
+		if v == 0 {
+			return
 		}
-		return
+		if j.state.CompareAndSwap(v, v|joinParked) {
+			break
+		}
 	}
 	<-j.wake
 }

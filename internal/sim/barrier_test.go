@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -178,5 +179,78 @@ func TestGroupBarrierBatching(t *testing.T) {
 	}
 	if ran[1] != 1 || ran[2] != 101 {
 		t.Fatalf("crossing epoch ran %d/%d events, want 1/101", ran[1], ran[2])
+	}
+}
+
+// joinSink defeats dead-code elimination of the stress test's busy work.
+var joinSink atomic.Uint64
+
+// TestGroupJoinNoEarlyWake stresses the hybrid barrier's two handshakes
+// in isolation: a coordinator arms, releases and joins three workers for
+// many back-to-back epochs, with uneven per-epoch work so that arrival
+// order and the spin/park outcome on both sides vary from epoch to epoch.
+// Every worker checks that it woke for the command it is waiting on and
+// bumps arrived before it calls done, so a correct barrier returns from
+// the join only once arrived equals the worker count. The failures this
+// pins are cross-epoch wakes, where one side is delayed between
+// publishing its count (or command) and checking the other side's parked
+// flag, and by then that flag belongs to a later epoch: the last worker
+// of epoch k waking the coordinator already parked for epoch k+1, or a
+// release of command n waking its worker already parked for n+1. Either
+// one desynchronizes the epoch count and hangs the group.
+func TestGroupJoinNoEarlyWake(t *testing.T) {
+	const workers = 3
+	epochs := 200_000
+	if testing.Short() {
+		epochs = 20_000
+	}
+	j := joinBarrier{wake: make(chan struct{}, 1)}
+	slots := make([]*workerSlot, workers)
+	var arrived atomic.Int32
+	var stale atomic.Uint64 // first command a worker ran with a stale target (0: none)
+	var stop atomic.Bool
+	for w := range slots {
+		s := &workerSlot{wake: make(chan struct{}, 1)}
+		slots[w] = s
+		go func() {
+			for n := uint64(1); ; n++ {
+				until := s.await(n)
+				if stop.Load() {
+					return
+				}
+				if until != Time(n) {
+					stale.CompareAndSwap(0, n)
+				}
+				var x uint64
+				for k := uint64(0); k < (n*uint64(w+3))%97; k++ {
+					x += k * n
+				}
+				joinSink.Add(x)
+				arrived.Add(1)
+				j.done()
+			}
+		}()
+	}
+	defer func() {
+		stop.Store(true)
+		for _, s := range slots {
+			s.seq++
+			s.release(s.seq, 0)
+		}
+	}()
+	for e := 0; e < epochs; e++ {
+		arrived.Store(0)
+		j.arm(workers)
+		for _, s := range slots {
+			s.seq++
+			s.release(s.seq, Time(s.seq))
+		}
+		j.wait()
+		if n := stale.Load(); n != 0 {
+			t.Fatalf("epoch %d: a worker woke for command %d with a stale target", e, n)
+		}
+		if got := arrived.Load(); got != workers {
+			t.Fatalf("epoch %d: join returned after %d of %d workers arrived", e, got, workers)
+		}
 	}
 }

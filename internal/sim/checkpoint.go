@@ -29,8 +29,9 @@ type EventRecord struct {
 
 // EngineState is a complete logical snapshot of one engine: everything
 // that determines its future behavior, with physical layout (heap array
-// order, ladder bucket geometry, free lists) normalized away. Two engines
-// with equal EngineStates execute identically from here on.
+// order, ladder bucket geometry, delay-lane bindings and tombstones, free
+// lists) normalized away. Two engines with equal EngineStates execute
+// identically from here on.
 type EngineState struct {
 	Now    Time
 	Seq    uint64 // next band-0 sequence number
@@ -62,6 +63,13 @@ func (e *Engine) CaptureState() EngineState {
 	}
 	add(e.q)
 	add(e.qa)
+	for i := range e.lanes {
+		for t := e.lanes[i].head; t != nil; t = t.next {
+			if t.idx != idxNone { // skip tombstones
+				st.Pending = append(st.Pending, EventRecord{At: t.at, Seq: t.seq})
+			}
+		}
+	}
 	if l := e.lad; l != nil {
 		add(l.active)
 		for _, s := range l.segs {
@@ -124,12 +132,13 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 		prev = rec
 	}
 
-	// Build scratch queues. Records arrive sorted by (At, Seq); a sorted
-	// array is already a valid min-heap, so band assignment is the only
-	// work for the heap discipline. Under the ladder every event is pushed
-	// into a fresh ladder, growing upper rungs as needed — drains refine
-	// them lazily, and pop order is a function of (at, seq) alone, not
-	// placement.
+	// Build scratch queues. Every band-0 event goes to the residual queue;
+	// the delay lanes start empty and fill with the run's new events.
+	// Records arrive sorted by (At, Seq); a sorted array is already a valid
+	// min-heap, so band assignment is the only work for the heap
+	// discipline. Under the ladder every event is pushed into a fresh
+	// ladder, growing upper rungs as needed — drains refine them lazily,
+	// and pop order is a function of (at, seq) alone, not placement.
 	var q, qa []*event
 	var lad *ladder
 	if e.lad != nil {
@@ -158,6 +167,7 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	e.seq = st.Seq
 	e.nEvent = st.Events
 	e.q, e.qa, e.lad = q, qa, lad
+	e.resetLanes()
 	e.free, e.freeN = nil, 0
 	e.src = NewCountingSource(e.seed)
 	e.rng = rand.New(e.src)

@@ -36,6 +36,21 @@ func testRoundTripPopOrder(t *testing.T, q QueueDiscipline, fill func(e *Engine)
 	if st.Queue != q {
 		t.Fatalf("captured discipline %v, want %v", st.Queue, q)
 	}
+	if len(st.Pending) != src.Pending() {
+		t.Fatalf("captured %d pending records, source has %d live events", len(st.Pending), src.Pending())
+	}
+	// The capture names exactly what the source itself goes on to run.
+	src.StartJournal()
+	src.RunAll()
+	if ran := src.TakeJournal(); len(ran) != len(st.Pending) {
+		t.Fatalf("source ran %d events after capture, captured %d", len(ran), len(st.Pending))
+	} else {
+		for i, rec := range st.Pending {
+			if ran[i] != rec {
+				t.Fatalf("source pop %d = %+v, captured %+v", i, ran[i], rec)
+			}
+		}
+	}
 
 	// Restore into both disciplines; pop order must equal the captured
 	// execution order (st.Pending is already sorted into it).
@@ -125,6 +140,47 @@ func TestCaptureRestoreLadderCancelledSlots(t *testing.T) {
 		}
 		fillRandom(e, rng, 200, 400_000)
 	})
+}
+
+// TestCaptureRestoreDelayLanes round-trips engines whose band-0 events
+// sit on delay lanes — recurring relative delays, an arrival-sorted
+// absolute trace — next to residual events, with tombstones left by
+// cancelled lane heads, middles and tails. Capture must list the live
+// events only, and a restore (which rebuilds everything into the
+// residual queue) must drain in the captured order.
+func TestCaptureRestoreDelayLanes(t *testing.T) {
+	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
+		rng := rand.New(rand.NewSource(6))
+		testRoundTripPopOrder(t, q, func(e *Engine) {
+			var timers []Timer
+			for at := Time(0); at < 400_000; at += Time(rng.Intn(2_000)) {
+				timers = append(timers, e.Schedule(at, func() {}))
+			}
+			for i := 0; i < 600; i++ {
+				timers = append(timers, e.After(recurringDelays[rng.Intn(len(recurringDelays))], func() {}))
+				if i%50 == 0 {
+					e.Run(e.Now().Add(Duration(rng.Intn(20_000))))
+				}
+			}
+			fillRandom(e, rng, 200, 300_000)
+			if e.laneN == 0 || e.lhN < 2 {
+				t.Fatalf("%v: setup put %d events on %d lanes", q, e.laneN, e.lhN)
+			}
+			tombs := 0
+			for i, tm := range timers {
+				if !tm.Active() || i%4 != 0 {
+					continue
+				}
+				if ln := laneOf(tm); ln >= 0 && e.lanes[ln].head != tm.ev {
+					tombs++
+				}
+				tm.Cancel()
+			}
+			if tombs == 0 {
+				t.Fatalf("%v: no cancellation left a tombstone", q)
+			}
+		})
+	}
 }
 
 func TestCaptureRestoreArrivalBand(t *testing.T) {

@@ -7,12 +7,19 @@ import "math/rand"
 // run in the order they were scheduled (stable FIFO tie-break), which keeps
 // protocol state machines deterministic.
 //
-// The event queue is an inlined 4-ary min-heap ordered by (time, seq): a
-// 4-ary layout halves tree depth versus binary, so the sift loops touch
-// fewer cache lines per operation, and inlining the comparisons avoids
-// container/heap's interface-call overhead. Fired and cancelled events are
-// recycled through a free list, so steady-state scheduling allocates
-// nothing.
+// Band-0 events (everything but ScheduleArrival) live in two places.
+// Most sit on delay lanes (lanes.go): one FIFO per recurring relative
+// delay plus one for absolute-time schedules, each already sorted because
+// a lane only accepts an event that sorts after its tail. The rest — the
+// events no lane accepted — sit in the residual queue, an inlined 4-ary
+// min-heap ordered by (time, seq) or, under QueueLadder, the ladder
+// queue (ladder.go). A 4-ary layout halves tree depth versus binary, so
+// the sift loops touch fewer cache lines per operation, and inlining the
+// comparisons avoids container/heap's interface-call overhead. Step
+// merges the lane heads, the residual minimum and the band-1 arrival
+// root by the one (time, seq) order, so where an event was queued never
+// changes when it runs. Fired and cancelled events are recycled through a
+// free list, so steady-state scheduling allocates nothing.
 // Sharded execution (see Group) splits one simulation across several
 // engines and relies on a two-band ordering of the seq field: ordinary
 // events occupy band 0 (engine-local insertion sequence, top bit clear)
@@ -23,25 +30,38 @@ import "math/rand"
 // order — the property that makes sharded runs byte-identical to serial.
 type Engine struct {
 	now    Time
-	q      []*event // 4-ary min-heap by (at, seq), band-0 events only (heap discipline)
-	lad    *ladder  // band-0 events, ladder discipline (nil selects the heap)
+	q      []*event // residual band-0 events: 4-ary min-heap by (at, seq) (heap discipline)
+	lad    *ladder  // residual band-0 events, ladder discipline (nil selects the heap)
 	qa     []*event // arrival-band events (ScheduleArrival), same order
 	seq    uint64
-	seed   int64           //ckpt:skip construction input; the RNG position is captured as Draws
-	src    *CountingSource // rng's source, counted so RNG position is checkpointable
-	rng    *rand.Rand      //ckpt:skip rebuilt from seed + captured Draws on restore
-	nEvent uint64          // total events executed, for instrumentation
-	free   *event          //ckpt:skip recycled-event free list, physical layout normalized away by EngineState
-	freeN  int             //ckpt:skip free-list length, same normalization as free
+	nEvent uint64 // total events executed, for instrumentation
+	free   *event //ckpt:skip recycled-event free list, physical layout normalized away by EngineState
+	freeN  int    //ckpt:skip free-list length, same normalization as free
+	lhN    int    //ckpt:skip lane-head heap size, physical layout normalized away by EngineState
+	laneN  int    //ckpt:skip derived live lane-event count, physical layout normalized away by EngineState
+	busy   uint64 //ckpt:skip bit i set while relative lane i is non-empty, physical layout normalized away by EngineState
 
 	journalOn bool          //ckpt:skip bisection instrumentation, re-armed by StartJournal after resume
 	journal   []EventRecord //ckpt:skip bisection instrumentation, not simulation state
+
+	seed int64           //ckpt:skip construction input; the RNG position is captured as Draws
+	src  *CountingSource // rng's source, counted so RNG position is checkpointable
+	rng  *rand.Rand      //ckpt:skip rebuilt from seed + captured Draws on restore
+
+	// Delay lanes (lanes.go) hold most band-0 events, one sorted FIFO per
+	// recurring delay. The per-event scalars above stay together in front
+	// of these tables.
+	delays [laneSlots]Duration //ckpt:skip lane binding table: each slot's bound delay, or its candidate while empty
+	lh     [laneCount]laneKey  //ckpt:skip lane-head heap over non-empty lanes, physical layout normalized away by EngineState
+	lanes  [laneCount]lane
 }
 
-// QueueDiscipline selects the data structure holding band-0 events.
-// Both disciplines implement the identical (time, seq) total order —
-// execution order, and therefore every digest, is the same under either;
-// only the constant factors differ with event density (DESIGN.md §13).
+// QueueDiscipline selects the data structure holding the residual band-0
+// events — those no delay lane accepted (DESIGN.md §18); lanes run in
+// front of either. Both disciplines implement the identical (time, seq)
+// total order — execution order, and therefore every digest, is the same
+// under either; only the constant factors differ with event density
+// (DESIGN.md §13).
 type QueueDiscipline uint8
 
 const (
@@ -106,7 +126,10 @@ type event struct {
 	at  Time
 	seq uint64
 	gen uint32 //ckpt:skip timer-invalidation stamp; outstanding Timers cannot outlive a restore
-	idx int32  //ckpt:skip heap slot, physical layout normalized away by EngineState
+	// idx is the heap or bucket slot; for lane events idxLane0 minus the
+	// lane, and idxNone once the event is off every queue (a cancelled
+	// lane event keeps its list position as a tombstone with idxNone).
+	idx int32 //ckpt:skip queue location, physical layout normalized away by EngineState
 
 	// Exactly one of fn / fnArgs is set. The argument form lets hot paths
 	// (one event per packet hop) schedule a package-level function plus
@@ -122,7 +145,7 @@ type event struct {
 	// heap discipline.
 	bkt *[]*event //ckpt:skip ladder bucket location, physical layout normalized away by EngineState
 
-	next *event //ckpt:skip free-list link, physical layout normalized away by EngineState
+	next *event //ckpt:skip free-list or lane link, physical layout normalized away by EngineState
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
@@ -173,10 +196,11 @@ func NewEngineQueue(seed int64, q QueueDiscipline) *Engine {
 	if q == QueueLadder {
 		e.lad = new(ladder)
 	}
+	e.resetLanes()
 	return e
 }
 
-// Queue reports the engine's band-0 queue discipline.
+// Queue reports the engine's residual band-0 queue discipline.
 func (e *Engine) Queue() QueueDiscipline {
 	if e.lad != nil {
 		return QueueLadder
@@ -196,11 +220,8 @@ func (e *Engine) Seed() int64 { return e.seed }
 // when the queue is empty. Epoch runners use it to size the next
 // conservative window.
 func (e *Engine) NextAt() (Time, bool) {
-	t := e.peek()
-	if t == nil {
-		return 0, false
-	}
-	return t.at, true
+	at, src := e.nextSource()
+	return at, src != srcNone
 }
 
 // Rand returns the engine's deterministic random source. All simulation
@@ -211,9 +232,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Events() uint64 { return e.nEvent }
 
 // Pending returns the number of live events currently queued. Cancelled
-// events are removed from the queue immediately and never counted.
+// events stop counting immediately (a cancelled lane event's tombstone
+// included).
 func (e *Engine) Pending() int {
-	n := len(e.q) + len(e.qa)
+	n := len(e.q) + len(e.qa) + e.laneN
 	if e.lad != nil {
 		n += e.lad.n
 	}
@@ -234,18 +256,29 @@ func (e *Engine) alloc() *event {
 	return &event{eng: e}
 }
 
-// recycle invalidates outstanding handles and returns t to the free
-// list — unless the list is already at its bound, in which case the
-// event is dropped for the GC so a transient burst's peak does not stay
-// resident forever.
+// recycle invalidates outstanding handles and returns t to the free list.
 func (e *Engine) recycle(t *event) {
+	e.invalidate(t)
+	e.reclaim(t)
+}
+
+// invalidate makes every outstanding handle to t inert and drops its
+// callback references. A cancelled lane event stops here, as a
+// tombstone, until it reaches its lane's head.
+func (e *Engine) invalidate(t *event) {
 	t.gen++
 	t.fn = nil
 	t.fnArgs = nil
 	t.a, t.b = nil, nil
 	t.i = 0
-	t.idx = -1
+	t.idx = idxNone
 	t.bkt = nil
+}
+
+// reclaim returns an invalidated event to the free list — unless the
+// list is already at its bound, in which case the event is dropped for
+// the GC so a transient burst's peak does not stay resident forever.
+func (e *Engine) reclaim(t *event) {
 	if e.freeN >= maxFreeEvents {
 		return
 	}
@@ -254,43 +287,57 @@ func (e *Engine) recycle(t *event) {
 	e.freeN++
 }
 
-// push allocates an event at absolute time at and inserts it into the
-// band-0 queue. Scheduling in the past panics: it would silently corrupt
+// pushAt allocates an event at absolute time at and queues it on the
+// absolute-time lane, or in the residual queue when it sorts before that
+// lane's tail. Scheduling in the past panics: it would silently corrupt
 // causality.
-func (e *Engine) push(at Time) *event {
+func (e *Engine) pushAt(at Time) *event {
 	if at < e.now {
 		panic("sim: scheduling event in the past")
 	}
+	t := e.newEvent(at)
+	if !e.laneAppend(laneAbs, t) {
+		e.pushResidual(t)
+	}
+	return t
+}
+
+// pushAfter allocates an event d after the current time and queues it on
+// the lane bound to d, or in the residual queue when d has no lane.
+func (e *Engine) pushAfter(d Duration) *event {
+	if d < 0 {
+		panic("sim: negative delay")
+	}
+	t := e.newEvent(e.now.Add(d))
+	if ln := e.laneAfter(d); ln < 0 || !e.laneAppend(ln, t) {
+		e.pushResidual(t)
+	}
+	return t
+}
+
+// newEvent allocates a band-0 event at at with the next sequence number.
+func (e *Engine) newEvent(at Time) *event {
 	t := e.alloc()
 	t.at = at
 	t.seq = e.seq
 	e.seq++
+	return t
+}
+
+// pushResidual inserts t into the residual queue (heap or ladder).
+func (e *Engine) pushResidual(t *event) {
 	if e.lad != nil {
 		e.lad.push(t)
-		return t
+		return
 	}
 	t.idx = int32(len(e.q))
 	//lint:ignore hotalloc heap growth is amortized to the peak event population; the backing array is reused for the rest of the run
 	e.q = append(e.q, t)
 	siftUp(e.q, int(t.idx))
-	return t
 }
 
-// mainMin returns the earliest band-0 event without removing it, or nil.
-// Under the ladder discipline this may advance the drain front (a pure
-// restructuring — pop order is unaffected).
-func (e *Engine) mainMin() *event {
-	if e.lad != nil {
-		return e.lad.min()
-	}
-	if len(e.q) == 0 {
-		return nil
-	}
-	return e.q[0]
-}
-
-// mainPop removes and returns the earliest band-0 event; the caller
-// guarantees one exists.
+// mainPop removes and returns the earliest residual band-0 event; the
+// caller guarantees one exists.
 func (e *Engine) mainPop() *event {
 	if e.lad != nil {
 		return e.lad.pop()
@@ -339,17 +386,16 @@ func (e *Engine) ScheduleArrival(at Time, key uint64, fn func(a, b any, i int), 
 
 // Schedule runs fn at absolute time at.
 func (e *Engine) Schedule(at Time, fn func()) Timer {
-	t := e.push(at)
+	t := e.pushAt(at)
 	t.fn = fn
 	return Timer{ev: t, gen: t.gen}
 }
 
 // After runs fn d after the current time.
 func (e *Engine) After(d Duration, fn func()) Timer {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.Schedule(e.now.Add(d), fn)
+	t := e.pushAfter(d)
+	t.fn = fn
+	return Timer{ev: t, gen: t.gen}
 }
 
 // AfterFunc runs fn(a, b, i) d after the current time. Unlike After it
@@ -360,10 +406,7 @@ func (e *Engine) After(d Duration, fn func()) Timer {
 //
 //lint:hotpath per-packet timer scheduling; 0-alloc contract of the forwarding benchmarks
 func (e *Engine) AfterFunc(d Duration, fn func(a, b any, i int), a, b any, i int) Timer {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	t := e.push(e.now.Add(d))
+	t := e.pushAfter(d)
 	t.fnArgs = fn
 	t.a, t.b, t.i = a, b, i
 	return Timer{ev: t, gen: t.gen}
@@ -374,7 +417,7 @@ func (e *Engine) AfterFunc(d Duration, fn func(a, b any, i int), a, b any, i int
 // that place many events at pre-computed absolute times without building
 // a closure per event.
 func (e *Engine) ScheduleFunc(at Time, fn func(a, b any, i int), a, b any, i int) Timer {
-	t := e.push(at)
+	t := e.pushAt(at)
 	t.fnArgs = fn
 	t.a, t.b, t.i = a, b, i
 	return Timer{ev: t, gen: t.gen}
@@ -386,17 +429,61 @@ func (e *Engine) ScheduleFunc(at Time, fn func(a, b any, i int), a, b any, i int
 // is already inert by the time it executes.
 //
 //lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold at both disciplines
-func (e *Engine) Step() bool {
-	var t *event
-	if len(e.qa) == 0 {
-		if t = e.mainMin(); t == nil {
-			return false
+func (e *Engine) Step() bool { return e.stepUntil(ladTimeMax) } // ladTimeMax: the end of the time axis
+
+// Event sources nextSource chooses between.
+const (
+	srcNone = iota
+	srcLane
+	srcMain
+	srcArrival
+)
+
+// nextSource returns the timestamp of the earliest pending event and
+// which queue holds it: the lane-head heap, the residual queue, or the
+// band-1 arrival heap. Arrival keys carry the band bit in seq, so every
+// same-instant tie goes to band 0.
+func (e *Engine) nextSource() (Time, int) {
+	var at Time
+	var seq uint64
+	src := srcNone
+	if e.lad == nil {
+		if len(e.q) > 0 {
+			at, seq, src = e.q[0].at, e.q[0].seq, srcMain
 		}
+	} else if m := e.lad.min(); m != nil {
+		// The ladder may advance its drain front here: a pure
+		// restructuring, pop order is unaffected.
+		at, seq, src = m.at, m.seq, srcMain
+	}
+	if e.lhN > 0 {
+		if k := &e.lh[0]; src == srcNone || k.at < at || (k.at == at && k.seq < seq) {
+			at, seq, src = k.at, k.seq, srcLane
+		}
+	}
+	if len(e.qa) > 0 {
+		if a := e.qa[0]; src == srcNone || a.at < at || (a.at == at && a.seq < seq) {
+			at, src = a.at, srcArrival
+		}
+	}
+	return at, src
+}
+
+// stepUntil executes the next pending event if it is stamped at or
+// before until, and reports whether one ran.
+func (e *Engine) stepUntil(until Time) bool {
+	at, src := e.nextSource()
+	if src == srcNone || at > until {
+		return false
+	}
+	var t *event
+	switch src {
+	case srcLane:
+		t = e.lanePop()
+	case srcMain:
 		t = e.mainPop()
-	} else if m := e.mainMin(); m == nil || eventLess(e.qa[0], m) {
+	default:
 		t = popRoot(&e.qa)
-	} else {
-		t = e.mainPop()
 	}
 	e.now = t.at
 	e.nEvent++
@@ -429,30 +516,11 @@ func (e *Engine) SkipTo(at Time) {
 // until. Events stamped exactly at until still run. The clock is left at
 // the later of its current value and until when the horizon is hit.
 func (e *Engine) Run(until Time) {
-	for {
-		t := e.peek()
-		if t == nil || t.at > until {
-			break
-		}
-		e.Step()
+	for e.stepUntil(until) {
 	}
 	if e.now < until {
 		e.now = until
 	}
-}
-
-// peek returns the next event to run without removing it, or nil when
-// both bands are empty. Arrival events carry the band bit in seq, so
-// eventLess breaks every same-instant tie toward the main band.
-func (e *Engine) peek() *event {
-	m := e.mainMin()
-	if len(e.qa) == 0 {
-		return m
-	}
-	if m == nil || eventLess(e.qa[0], m) {
-		return e.qa[0]
-	}
-	return m
 }
 
 // RunAll executes events until the queue drains. Intended for workloads
@@ -491,6 +559,10 @@ func popRoot(qp *[]*event) *event {
 // it. Only band-0 events can be cancelled: ScheduleArrival returns no
 // Timer, so arrival events never come through here.
 func (e *Engine) remove(t *event) {
+	if t.idx <= idxLane0 {
+		e.laneCancel(t)
+		return
+	}
 	if e.lad != nil {
 		e.lad.remove(t)
 	} else {

@@ -165,7 +165,7 @@ func (g *Group) RunEpoch(until Time) {
 	g.busy = busy
 	if len(busy) > 1 {
 		g.crossings++
-		g.join.remaining.Store(int32(len(busy)))
+		g.join.arm(len(busy))
 		for _, i := range busy {
 			s := g.slots[i-1]
 			s.seq++

@@ -6,125 +6,21 @@ import (
 	"testing"
 )
 
-// queueRecorder drives one engine through a scripted schedule and records
-// the execution order as "at/tag" strings.
-type queueRecorder struct {
-	eng   *Engine
-	order []string
-}
-
-func (r *queueRecorder) log(tag int) {
-	r.order = append(r.order, fmt.Sprintf("%d/%d", r.eng.Now(), tag))
-}
-
-// op is one step of a randomized schedule: either a new event (band 0 via
-// Schedule/AfterFunc, band 1 via ScheduleArrival) or the cancellation of
-// an earlier band-0 event.
-type queueOp struct {
-	cancel  bool
-	victim  int // index into the timer list when cancel
-	arrival bool
-	delay   Duration
-	key     uint64
-	tag     int
-}
-
-// runSchedule replays ops on an engine with the given discipline,
-// interleaving execution (Step bursts) with scheduling so the drain front
-// moves while inserts keep landing across all ladder tiers.
-func runSchedule(disc QueueDiscipline, ops []queueOp, steps []int) []string {
-	r := &queueRecorder{eng: NewEngineQueue(7, disc)}
-	var timers []Timer
-	si := 0
-	for i, o := range ops {
-		switch {
-		case o.cancel:
-			if len(timers) > 0 {
-				timers[o.victim%len(timers)].Cancel()
-			}
-		case o.arrival:
-			r.eng.ScheduleArrival(r.eng.Now().Add(o.delay), o.key,
-				func(a, b any, i int) { a.(*queueRecorder).log(i) }, r, nil, o.tag)
-		default:
-			tag := o.tag
-			timers = append(timers, r.eng.After(o.delay, func() { r.log(tag) }))
-		}
-		if si < len(steps) && steps[si] == i {
-			si++
-			for k := 0; k < 3; k++ {
-				r.eng.Step()
-			}
-		}
-	}
-	r.eng.RunAll()
-	return r.order
-}
-
-// TestQueueDisciplineEquivalence is the property test behind the ladder
-// queue's correctness claim: identical randomized schedules — including
-// cancellations, same-instant ties in both bands, near events, far-future
-// overflow events, and dense same-bucket bursts — executed through the
-// 4-ary heap and the ladder queue produce the identical execution order.
+// TestQueueDisciplineEquivalence is the property test behind the queue
+// disciplines' correctness claim, three ways: identical randomized
+// scripts executed through the 4-ary heap and the ladder queue — each
+// behind its delay lanes — and through the sorted (at, seq) reference
+// queue produce the identical execution order. The scripts mix recurring
+// delays that bind lanes, more distinct recurring delays than the lane
+// table holds (forcing rebinding), random delays across every ladder
+// tier, absolute schedules in sorted and unsorted order, band-1 arrivals
+// with same-instant ties, cancellation of lane heads, middles and tails,
+// and Step bursts; at random points live-only Pending() and the captured
+// EngineState must match across disciplines and the reference.
 func TestQueueDisciplineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
-		n := 200 + rng.Intn(800)
-		ops := make([]queueOp, n)
-		arrKeys := map[uint64]bool{}
-		for i := range ops {
-			o := &ops[i]
-			o.tag = i
-			switch rng.Intn(10) {
-			case 0: // cancellation of a random earlier band-0 timer
-				o.cancel = true
-				o.victim = rng.Intn(1 << 20)
-			case 1, 2: // band-1 arrival with a unique identity key
-				o.arrival = true
-				for {
-					o.key = uint64(rng.Intn(1 << 30))
-					if !arrKeys[o.key] {
-						arrKeys[o.key] = true
-						break
-					}
-				}
-				o.delay = Duration(rng.Intn(2000))
-			default:
-				// Delay mix spanning every ladder tier: 0 forces same-instant
-				// FIFO ties, small lands in active/near buckets, huge lands in
-				// the upper rungs (the largest tier crosses several geometric
-				// rung spans), and the modulo clustering packs bucket bursts.
-				switch rng.Intn(5) {
-				case 0:
-					o.delay = 0
-				case 1:
-					o.delay = Duration(rng.Intn(64))
-				case 2:
-					o.delay = Duration(rng.Intn(100_000))
-				case 3:
-					o.delay = Duration(1_000_000 + rng.Intn(10_000_000))
-				default:
-					o.delay = Duration(100_000_000 + rng.Int63n(100_000_000_000))
-				}
-			}
-		}
-		// Step bursts at random points so scheduling interleaves with
-		// execution (events land behind, at, and ahead of the drain front).
-		var steps []int
-		for i := 0; i < n; i += 1 + rng.Intn(20) {
-			steps = append(steps, i)
-		}
-
-		want := runSchedule(QueueHeap, ops, steps)
-		got := runSchedule(QueueLadder, ops, steps)
-		if len(want) != len(got) {
-			t.Fatalf("trial %d: heap ran %d events, ladder %d", trial, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d: execution order diverges at event %d: heap %s, ladder %s",
-					trial, i, want[i], got[i])
-			}
-		}
+		checkScript(t, fmt.Sprintf("trial %d", trial), randomScript(rng, 200+rng.Intn(1600)))
 	}
 }
 

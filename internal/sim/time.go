@@ -1,8 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine:
 // a nanosecond-resolution virtual clock (stored in picoseconds so that
-// sub-nanosecond serialization times on 400 Gbps links stay exact), a
-// binary-heap event queue with stable FIFO ordering for simultaneous
-// events, cancellable timers, and a seeded random source.
+// sub-nanosecond serialization times on 400 Gbps links stay exact), an
+// event queue with stable FIFO ordering for simultaneous events
+// (per-delay FIFO lanes in front of a 4-ary heap or a ladder queue),
+// cancellable timers, and a seeded random source.
 //
 // The engine is single-threaded by design: all hosts, switches and links
 // of a simulated datacenter share one event loop, which makes runs with
