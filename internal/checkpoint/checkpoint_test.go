@@ -94,15 +94,18 @@ func TestReadErrorTaxonomy(t *testing.T) {
 		}
 	})
 	t.Run("version mismatch", func(t *testing.T) {
-		b := append([]byte(nil), good...)
-		b[len(Magic)] = 99 // version byte
-		// Re-seal so the version check (not the checksum) fires: a future
-		// writer produces a valid checksum over a newer version.
-		reseal(b)
-		var ve *VersionError
-		_, err := Read(bytes.NewReader(b))
-		if !errors.As(err, &ve) || ve.Got != 99 || ve.Want != Version {
-			t.Fatalf("got %v, want *VersionError{99,%d}", err, Version)
+		// 1 is the format before ports captured busyUntil; 99 a future one.
+		for _, v := range []byte{1, 99} {
+			b := append([]byte(nil), good...)
+			b[len(Magic)] = v // version byte
+			// Re-seal so the version check (not the checksum) fires: any
+			// other writer produces a valid checksum over its own version.
+			reseal(b)
+			var ve *VersionError
+			_, err := Read(bytes.NewReader(b))
+			if !errors.As(err, &ve) || ve.Got != uint32(v) || ve.Want != Version {
+				t.Fatalf("got %v, want *VersionError{%d,%d}", err, v, Version)
+			}
 		}
 	})
 	t.Run("flipped payload byte", func(t *testing.T) {

@@ -52,12 +52,13 @@ func goldenSpec(t *testing.T, proto string, withFaults bool) RunSpec {
 //
 // and copy the measured digests printed in the failure. A change here
 // must be explainable by the commit touching protocol or fabric timing.
-// (Last regeneration: sharded execution gave every device its own
-// seed-derived RNG stream and made the digest a per-host fold, both of
-// which shift the stream and its hash once, for every shard count.)
+// (Last regeneration: a hop became one event — the transmitter
+// schedules the peer's ingress handler directly and a transmit-done wake
+// exists only while a packet waits — which moves the tie order of
+// same-instant events once, for every shard count; DESIGN.md §19.)
 const (
-	goldenDigestClean   uint64 = 0x1eb6e81d4616af03
-	goldenDigestFaulted uint64 = 0x68dea6ffa9e57f4c
+	goldenDigestClean   uint64 = 0xb3bc48432c45651e
+	goldenDigestFaulted uint64 = 0x6926379758c8d6f3
 )
 
 // TestGoldenDigest locks the delivered-packet event stream of a

@@ -43,7 +43,7 @@ func TestQueueDisciplineByteIdentity(t *testing.T) {
 // point). Regenerate the same way as the leaf-spine goldens: run the test
 // with -v and copy the measured digest, with the change explained by the
 // commit.
-const golden1024Digest uint64 = 0xfdbadd4100015ba2
+const golden1024Digest uint64 = 0xf55e9e262e538263
 
 // scale1024Spec mirrors the low-load 1024-host cell of RunScale.
 func scale1024Spec() RunSpec {
@@ -87,7 +87,7 @@ func Test1024HostDigest(t *testing.T) {
 // rung the multi-core campaign sweeps, on a horizon short enough for a
 // unit test. Regenerate like the other goldens: run with -v and copy the
 // measured digest, with the change explained by the commit.
-const golden8192Digest uint64 = 0xa5a45b638a5e4730
+const golden8192Digest uint64 = 0x700f89c5460de20c
 
 // scale8192Spec mirrors the 8192-host campaign cell at test scale.
 func scale8192Spec() RunSpec {

@@ -94,7 +94,8 @@ func (o *outPort) captureState(enc *checkpoint.Encoder) {
 	enc.I64(o.queuedBytes)
 	enc.I64(o.maxQueued)
 	enc.I64(o.txBytes)
-	enc.Bool(o.busy)
+	enc.I64(int64(o.busyUntil))
+	enc.Bool(o.wakePending)
 	enc.Bool(o.paused)
 	enc.Bool(o.down)
 	enc.F64(o.lossRate)

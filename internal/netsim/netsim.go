@@ -202,9 +202,8 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 		for pi, p := range sw.Ports {
 			d.ports[pi] = &outPort{
 				fab: f, sh: sh, rng: d.rng,
-				rate: p.Rate, delay: p.Delay,
-				capacity: cfg.PortBufferBytes,
-				owner:    d, ownerPort: pi,
+				rate: p.Rate, capacity: cfg.PortBufferBytes,
+				owner: d,
 			}
 		}
 		f.switches[i] = d
@@ -218,31 +217,40 @@ func NewSharded(grp *sim.Group, t *topo.Topology, cfg Config, part *topo.Partiti
 			id: h, fab: f, sh: sh,
 			src: src, rng: rand.New(src),
 		}
+		// Host NIC → its ToR; the packet enters through the ToR port
+		// facing this host.
+		tor := f.switches[t.HostSwitch[h]]
 		host.nic = &outPort{
 			fab: f, sh: sh, rng: host.rng,
-			rate: up.Rate, delay: up.Delay,
-			capacity: cfg.HostQueueBytes,
-			hostNIC:  host,
+			rate: up.Rate, capacity: cfg.HostQueueBytes,
+			arrive: swForward, peer: tor, peerIn: t.HostPort[h], peerSh: tor.sh,
+			hop: up.Delay + t.SwitchDelay,
 		}
 		f.hosts[h] = host
 	}
 
-	// Wire boundary egress: directed boundary links get stable ids in
-	// (switch, port) order, and each boundary port learns its peer so
-	// tryTransmit can schedule the fused forward event — intra-shard via
-	// its own engine's arrival band, cross-shard via staging.
+	// Wire every switch port to the ingress handler at its peer. Directed
+	// boundary links also get stable ids in (switch, port) order, so
+	// tryTransmit can key their arrivals in the arrival band —
+	// intra-shard via its own engine, cross-shard via staging.
 	var linkID uint64
 	for _, sw := range t.Switches {
 		for pi, p := range sw.Ports {
-			if p.ToHost || !p.Boundary {
+			o := f.switches[sw.ID].ports[pi]
+			if p.ToHost {
+				peer := f.hosts[p.Peer]
+				o.arrive, o.peer, o.peerSh = hostDeliver, peer, peer.sh
+				o.hop = p.Delay + t.HostDelay
 				continue
 			}
-			o := f.switches[sw.ID].ports[pi]
-			o.boundary = true
-			o.linkID = linkID
-			o.peerSw = f.switches[p.Peer]
-			o.peerIn = p.PeerPort
-			linkID++
+			peer := f.switches[p.Peer]
+			o.arrive, o.peer, o.peerIn, o.peerSh = swForward, peer, p.PeerPort, peer.sh
+			o.hop = p.Delay + t.SwitchDelay
+			if p.Boundary {
+				o.boundary = true
+				o.linkID = linkID
+				linkID++
+			}
 		}
 	}
 	if linkID >= maxBoundaryLinks {
@@ -351,14 +359,11 @@ func hostEnqueue(a, b any, _ int) {
 	a.(*Host).nic.enqueue(b.(*packet.Packet))
 }
 
-// deliver passes a packet up the receive stack to the protocol.
-func (h *Host) deliver(p *packet.Packet) {
-	h.sh.eng.AfterFunc(h.fab.topo.HostDelay, hostDeliver, h, p, 0)
-}
-
-// hostDeliver is the fabric's delivery point and one of its two packet
-// release points: once the protocol's OnPacket returns the packet is
-// recycled, unless the protocol claimed it with packet.Keep.
+// hostDeliver is the host's ingress handler, run once the packet has
+// crossed the last link and the host's receive stack (HostDelay). It is
+// the fabric's delivery point and one of its two packet release points:
+// once the protocol's OnPacket returns the packet is recycled, unless
+// the protocol claimed it with packet.Keep.
 func hostDeliver(a, b any, _ int) {
 	h := a.(*Host)
 	p := b.(*packet.Packet)
@@ -396,13 +401,9 @@ type swDev struct {
 	paused       []bool // lazily sized; whether we've paused each ingress
 }
 
-// receive handles a packet arriving at the switch from ingress port `in`
-// (-1 for host-attached arrivals; those are accounted per their host
-// port). Processing latency is applied before enqueueing.
-func (d *swDev) receive(p *packet.Packet, in int) {
-	d.sh.eng.AfterFunc(d.fab.topo.SwitchDelay, swForward, d, p, in)
-}
-
+// swForward is the switch's ingress handler, run once the packet has
+// crossed the link into ingress port in and the switch's processing
+// delay (SwitchDelay) has passed.
 func swForward(a, b any, in int) {
 	a.(*swDev).forward(b.(*packet.Packet), in)
 }

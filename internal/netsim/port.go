@@ -17,30 +17,33 @@ type queued struct {
 // outPort models one transmit side of a full-duplex link: eight
 // strict-priority FIFO queues sharing a byte budget, a serializing
 // transmitter, and the attached link's rate and propagation delay.
-// A port belongs either to a switch (owner set) or to a host NIC
-// (hostNIC set).
+// A port belongs either to a switch (owner set) or to a host NIC.
 // A port's checkpoint (outPort.captureState) covers the dynamic plane:
-// queues, byte counts, PFC/fault state, and the boundary arrival
-// sequence. Link parameters and device wiring are static topology,
-// re-created identically by building the fabric before restore.
+// queues, byte counts, transmitter, PFC/fault state, and the boundary
+// arrival sequence. Link parameters and device wiring are static
+// topology, re-created identically by building the fabric before
+// restore.
 type outPort struct {
-	fab      *Fabric      //ckpt:skip owner back-pointer, re-established by construction
-	sh       *shardState  //ckpt:skip shard wiring, re-established by construction
-	rng      *rand.Rand   //ckpt:skip aliases the owning device's stream; its position is captured there
-	rate     float64      //ckpt:skip static link parameter from topology
-	delay    sim.Duration //ckpt:skip static link parameter from topology
-	capacity int64        //ckpt:skip static link parameter from topology
+	fab      *Fabric     //ckpt:skip owner back-pointer, re-established by construction
+	sh       *shardState //ckpt:skip shard wiring, re-established by construction
+	rng      *rand.Rand  //ckpt:skip aliases the owning device's stream; its position is captured there
+	rate     float64     //ckpt:skip static link parameter from topology
+	capacity int64       //ckpt:skip static link parameter from topology
 
-	owner     *swDev //ckpt:skip device wiring, re-established by construction
-	ownerPort int    //ckpt:skip device wiring, re-established by construction
-	hostNIC   *Host  //ckpt:skip device wiring, re-established by construction
+	owner *swDev //ckpt:skip device wiring, re-established by construction
 
 	queues      [packet.NumPriorities][]queued
 	heads       [packet.NumPriorities]int
 	queuedBytes int64
 	maxQueued   int64 // high-water mark of queuedBytes
 	txBytes     int64 // cumulative bytes transmitted (INT)
-	busy        bool
+
+	// The transmitter is serializing while the clock is before
+	// busyUntil. No event marks the end of a serialization: a wake
+	// (portWake) is pending only while a packet waits behind it, so an
+	// idle port costs nothing between packets (DESIGN.md §19.2).
+	busyUntil   sim.Time
+	wakePending bool
 	paused      bool
 
 	// Injected fault state (see Fabric's fault-control methods). down
@@ -52,17 +55,25 @@ type outPort struct {
 	burstRate  float64
 	burstUntil sim.Time
 
+	// Peer wiring: a transmitted packet is handed straight to the ingress
+	// handler at the far end of the link, arrive(peer, p, peerIn) — the
+	// peer switch's swForward or the peer host's hostDeliver — hop after
+	// its serialization ends (propagation plus the peer's processing
+	// delay). One event per hop (DESIGN.md §19.1).
+	arrive func(a, b any, i int) //ckpt:skip peer wiring, re-established by construction
+	peer   any                   //ckpt:skip peer wiring, re-established by construction
+	peerIn int                   //ckpt:skip peer wiring, re-established by construction
+	peerSh *shardState           //ckpt:skip peer wiring, re-established by construction
+	hop    sim.Duration          //ckpt:skip static link parameter from topology
+
 	// Boundary egress (switch↔switch links marked topo.Port.Boundary):
-	// delivery is fused into a single arrival-band event — the forward at
-	// the peer switch, scheduled tx+delay+SwitchDelay ahead with a key
-	// built from the directed link id and a per-link sequence, so its
-	// execution order is identical at every shard count. Data and PFC
-	// frames on the same directed link share arrSeq.
+	// the arrival is keyed in the arrival band, built from the directed
+	// link id and a per-link sequence, so its execution order is identical
+	// at every shard count, and it is staged when the peer is on another
+	// shard. Data and PFC frames on the same directed link share arrSeq.
 	boundary bool   //ckpt:skip static topology attribute (topo.Port.Boundary)
 	linkID   uint64 //ckpt:skip derived from the directed link identity at construction
 	arrSeq   uint64
-	peerSw   *swDev //ckpt:skip peer wiring, re-established by construction
-	peerIn   int    //ckpt:skip peer wiring, re-established by construction
 }
 
 // faultDrop applies injected link faults (degrade / loss burst) at enqueue
@@ -198,17 +209,28 @@ func (o *outPort) pop() (queued, bool) {
 	return queued{}, false
 }
 
-// tryTransmit starts serializing the next packet if the port is idle, not
-// PFC-paused, and the link is not administratively down.
+// tryTransmit starts serializing the next packet if the transmitter is
+// free, not PFC-paused, and the link is not administratively down. A
+// transmitter still serializing leaves a wake at busyUntil for the
+// waiting packet instead, at the absolute instant so the engine's delay
+// lanes are not offered a fresh random delay.
 func (o *outPort) tryTransmit() {
-	if o.busy || o.paused || o.down {
+	if o.paused || o.down {
+		return
+	}
+	eng := o.sh.eng
+	now := eng.Now()
+	if now < o.busyUntil {
+		if !o.wakePending && o.hasQueued() {
+			o.wakePending = true
+			eng.ScheduleFunc(o.busyUntil, portWake, o, nil, 0)
+		}
 		return
 	}
 	el, ok := o.pop()
 	if !ok {
 		return
 	}
-	o.busy = true
 	p := el.p
 
 	// Release PFC accounting as soon as the packet leaves the buffer.
@@ -218,64 +240,52 @@ func (o *outPort) tryTransmit() {
 	}
 
 	tx := sim.TransmissionTime(p.Size, o.rate)
+	o.busyUntil = now.Add(tx)
 	o.txBytes += int64(p.Size)
 	if p.CollectINT {
 		p.INT = append(p.INT, packet.INTHop{
 			QueueBytes: o.queuedBytes,
 			TxBytes:    o.txBytes,
-			Timestamp:  o.sh.eng.Now(),
+			Timestamp:  now,
 			RateBps:    o.rate,
 		})
 	}
-	eng := o.sh.eng
-	eng.AfterFunc(tx, portTxDone, o, nil, 0)
+	if !o.wakePending && o.hasQueued() {
+		o.wakePending = true
+		eng.AfterFunc(tx, portWake, o, nil, 0)
+	}
 	if o.boundary {
-		// Fused boundary delivery: skip the portDeliver and receive
-		// intermediaries and schedule the forward at the peer switch
-		// directly, keyed in the arrival band so execution order does not
-		// depend on which shard inserted it, or when.
-		at := eng.Now().Add(tx + o.delay + o.fab.topo.SwitchDelay)
+		// Keyed in the arrival band so execution order does not depend
+		// on which shard inserted it, or when.
+		at := now.Add(tx + o.hop)
 		key := bandKey(o.linkID, o.arrSeq)
 		o.arrSeq++
-		if peer := o.peerSw.sh; peer == o.sh {
-			eng.ScheduleArrival(at, key, swForward, o.peerSw, p, o.peerIn)
+		if o.peerSh == o.sh {
+			eng.ScheduleArrival(at, key, o.arrive, o.peer, p, o.peerIn)
 		} else {
-			o.sh.stage(peer, at, key, swForward, o.peerSw, p, o.peerIn)
+			o.sh.stage(o.peerSh, at, key, o.arrive, o.peer, p, o.peerIn)
 		}
 		return
 	}
-	eng.AfterFunc(tx+o.delay, portDeliver, o, p, 0)
+	eng.AfterFunc(tx+o.hop, o.arrive, o.peer, p, o.peerIn)
 }
 
-func portTxDone(a, _ any, _ int) {
+// hasQueued reports whether any priority queue holds a packet.
+func (o *outPort) hasQueued() bool {
+	for pr := range o.queues {
+		if o.heads[pr] < len(o.queues[pr]) {
+			return true
+		}
+	}
+	return false
+}
+
+// portWake ends the serialization a packet waited behind and starts
+// the next one.
+func portWake(a, _ any, _ int) {
 	o := a.(*outPort)
-	o.busy = false
+	o.wakePending = false
 	o.tryTransmit()
-}
-
-func portDeliver(a, b any, _ int) {
-	a.(*outPort).deliverToPeer(b.(*packet.Packet))
-}
-
-// deliverToPeer hands the packet to the device at the far end of the
-// link. Boundary links never reach here (their delivery is fused into
-// the arrival-band event at transmit time), so the peer is always on
-// the same shard.
-func (o *outPort) deliverToPeer(p *packet.Packet) {
-	if o.hostNIC != nil {
-		// Host NIC → its ToR; the packet enters through the ToR port
-		// facing this host.
-		h := o.hostNIC.id
-		tor := o.fab.switches[o.fab.topo.HostSwitch[h]]
-		tor.receive(p, o.fab.topo.HostPort[h])
-		return
-	}
-	spec := o.owner.spec.Ports[o.ownerPort]
-	if spec.ToHost {
-		o.fab.hosts[spec.Peer].deliver(p)
-		return
-	}
-	o.fab.switches[spec.Peer].receive(p, spec.PeerPort)
 }
 
 // checkPause sends a PFC pause upstream when an ingress's buffered bytes
