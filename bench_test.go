@@ -11,13 +11,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"dcpim/internal/core"
 	"dcpim/internal/experiments"
 	"dcpim/internal/matching"
 	"dcpim/internal/netsim"
 	"dcpim/internal/packet"
 	"dcpim/internal/sim"
-	"dcpim/internal/stats"
 	"dcpim/internal/topo"
 	"dcpim/internal/workload"
 )
@@ -121,49 +119,20 @@ func BenchmarkChannelMatching(b *testing.B) {
 
 // BenchmarkFabricForwarding measures raw fabric throughput: packets per
 // second the simulator pushes through a loaded leaf-spine.
-func BenchmarkFabricForwarding(b *testing.B) {
-	b.ReportAllocs()
+func BenchmarkFabricForwarding(b *testing.B) { experiments.BenchForwarding(b) }
+
+// forwardingAllocsPerPacket builds the BenchmarkFabricForwarding fabric,
+// lets setup adjust it before the protocols attach, warms the event free
+// list, heap backing arrays, per-port queues and packet pool with 16
+// batches of 64 packets, and returns the mean allocations per forwarded
+// packet over 50 more batches.
+func forwardingAllocsPerPacket(setup func(*netsim.Fabric)) float64 {
 	eng := sim.NewEngine(1)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
+	setup(fab)
 	for i := 0; i < tp.NumHosts; i++ {
-		fab.AttachProtocol(i, nopProto{})
-	}
-	fab.Start()
-	b.ResetTimer()
-	sent := 0
-	for i := 0; i < b.N; i++ {
-		src := i % 8
-		dst := (i + 1) % 8
-		fab.Host(src).Send(packet.NewData(src, dst, uint64(i), 0, packet.MTU, packet.PrioShort))
-		sent++
-		if sent%64 == 0 {
-			eng.RunAll()
-		}
-	}
-	eng.RunAll()
-}
-
-type nopProto struct{}
-
-func (nopProto) Start(*netsim.Host)          {}
-func (nopProto) OnFlowArrival(workload.Flow) {}
-func (nopProto) OnPacket(*packet.Packet)     {}
-
-// TestForwardingAllocs pins the hot-path allocation budget: once the event
-// free list and packet pool are warm, forwarding a packet through the
-// fabric (NIC, two or three switch hops, delivery) must not allocate. The
-// budget of 1/16 alloc per packet leaves room only for amortized queue
-// growth.
-func TestForwardingAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop items; alloc counts unstable")
-	}
-	eng := sim.NewEngine(1)
-	tp := topo.SmallLeafSpine().Build()
-	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	for i := 0; i < tp.NumHosts; i++ {
-		fab.AttachProtocol(i, nopProto{})
+		fab.AttachProtocol(i, experiments.NopProtocol{})
 	}
 	fab.Start()
 	seq := 0
@@ -176,15 +145,24 @@ func TestForwardingAllocs(t *testing.T) {
 		}
 		eng.RunAll()
 	}
-	// Warm the pools: the first batches grow the heap, the heap backing
-	// array, per-port queues and the packet pool.
 	for i := 0; i < 16; i++ {
 		batch()
 	}
-	perBatch := testing.AllocsPerRun(50, batch)
-	if perPacket := perBatch / 64; perPacket > 1.0/16 {
+	return testing.AllocsPerRun(50, batch) / 64
+}
+
+// TestForwardingAllocs pins the hot-path allocation budget: once the event
+// free list and packet pool are warm, forwarding a packet through the
+// fabric (NIC, two or three switch hops, delivery) must not allocate. The
+// budget of 1/16 alloc per packet leaves room only for amortized queue
+// growth.
+func TestForwardingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop items; alloc counts unstable")
+	}
+	if perPacket := forwardingAllocsPerPacket(func(*netsim.Fabric) {}); perPacket > 1.0/16 {
 		t.Fatalf("forwarding allocates %.3f allocs/packet (%.1f per 64-packet batch), want ~0",
-			perPacket, perBatch)
+			perPacket, 64*perPacket)
 	}
 }
 
@@ -196,53 +174,16 @@ func TestMetricsDisabledAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; alloc counts unstable")
 	}
-	eng := sim.NewEngine(1)
-	tp := topo.SmallLeafSpine().Build()
-	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-	fab.RegisterMetrics(nil) // disabled telemetry: must register nothing
-	for i := 0; i < tp.NumHosts; i++ {
-		fab.AttachProtocol(i, nopProto{})
-	}
-	fab.Start()
-	seq := 0
-	batch := func() {
-		for i := 0; i < 64; i++ {
-			src := seq % 8
-			dst := (seq + 1) % 8
-			fab.Host(src).Send(packet.NewData(src, dst, uint64(seq), 0, packet.MTU, packet.PrioShort))
-			seq++
-		}
-		eng.RunAll()
-	}
-	for i := 0; i < 16; i++ {
-		batch()
-	}
-	perBatch := testing.AllocsPerRun(50, batch)
-	if perPacket := perBatch / 64; perPacket > 1.0/16 {
+	disable := func(fab *netsim.Fabric) { fab.RegisterMetrics(nil) } // disabled telemetry: must register nothing
+	if perPacket := forwardingAllocsPerPacket(disable); perPacket > 1.0/16 {
 		t.Fatalf("disabled metrics allocate %.3f allocs/packet (%.1f per 64-packet batch), want ~0",
-			perPacket, perBatch)
+			perPacket, 64*perPacket)
 	}
 }
 
-// BenchmarkDcPIMEndToEnd measures full dcPIM simulation cost: simulated
-// microseconds per wall second on an 8-host fabric at load 0.6.
-func BenchmarkDcPIMEndToEnd(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(int64(i + 1))
-		tp := topo.SmallLeafSpine().Build()
-		fab := netsim.New(eng, tp, netsim.Config{Spray: true})
-		col := stats.NewCollector(0)
-		core.Attach(fab, core.DefaultConfig(), col)
-		fab.Start()
-		tr := workload.AllToAllConfig{
-			Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
-			Dist: workload.IMC10(), Horizon: 200 * sim.Microsecond, Seed: int64(i),
-		}.Generate()
-		fab.Inject(tr)
-		eng.Run(sim.Time(300 * sim.Microsecond))
-	}
-}
+// BenchmarkDcPIMEndToEnd measures full dcPIM simulation cost: 300 µs of
+// an 8-host fabric at load 0.6 per op.
+func BenchmarkDcPIMEndToEnd(b *testing.B) { experiments.BenchEndToEnd(b) }
 
 // BenchmarkFatTreeSharded measures the conservative-parallel engine on
 // one big FatTree fabric at 1, 2 and 4 shards — same seed, byte-identical
@@ -260,22 +201,9 @@ func BenchmarkFatTreeSharded(b *testing.B) {
 		horizon = 50 * sim.Microsecond
 	}
 	tp := cfg.Build()
-	tr := workload.AllToAllConfig{
-		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
-		Dist: workload.IMC10(), Horizon: horizon, Seed: 42,
-	}.Generate()
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res := experiments.Run(experiments.RunSpec{
-					Protocol: experiments.DCPIM, Topo: tp, Trace: tr,
-					Horizon: horizon + horizon/2, Seed: 99, Shards: shards,
-				})
-				if res.Col.Completed() == 0 {
-					b.Fatal("no flows completed")
-				}
-			}
+			experiments.BenchFatTreeSharded(b, tp, horizon, shards)
 		})
 	}
 }

@@ -44,7 +44,7 @@ type Meta struct {
 	Seed      int64
 	Hosts     int    // topology host count
 	Shards    int    // resolved shard count (≥ 1)
-	Queue     string // resolved queue discipline ("heap" / "ladder")
+	Queue     string // engine event-queue discipline: always "heap" (snapshots that say "ladder" predate its removal and fail to resume)
 	TopoHash  uint64 // fingerprint of the topology shape
 	SpecHash  uint64 // fingerprint of the full run spec (trace, faults, horizon)
 	HorizonPs int64  // run horizon, picoseconds

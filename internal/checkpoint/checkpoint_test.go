@@ -10,7 +10,7 @@ import (
 func sampleSnapshot() *Snapshot {
 	s := &Snapshot{Meta: Meta{
 		Version: Version, Label: "fig3a-dcpim-load0.500", Protocol: "dcpim",
-		Seed: 99, Hosts: 16, Shards: 4, Queue: "ladder",
+		Seed: 99, Hosts: 16, Shards: 4, Queue: "heap",
 		TopoHash: 0xdeadbeefcafe, SpecHash: 0x1234567890ab,
 		HorizonPs: 2_000_000_000, TimePs: 1_000_000_000, Index: 3, EveryPs: 250_000_000,
 	}}

@@ -33,40 +33,44 @@ type BenchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
+// pendingPerHost is the measured peak of engine-pending events per host
+// under dcPIM all-to-all at load 0.6, on both the 128- and 1024-host
+// FatTrees (DESIGN.md §13). The hold benches size their populations
+// from it.
+const pendingPerHost = 19
+
 // SubstrateBenches returns the perf-trajectory suite: raw fabric
 // forwarding, a full dcPIM run, the sharded FatTree run at 1, 2 and
 // 4 shards (same seed and trace — the shardsN results measure scaling of
-// one identical simulation), and the engine hold-model head-to-head of
-// both queue disciplines at the measured event densities of the 128-,
-// 1024- and 4096-host campaigns.
+// one identical simulation), and the engine hold model at the measured
+// event densities of the 128-, 1024- and 4096-host campaigns and at 10⁶
+// pending events. The hold benches keep "heap" in their names, which
+// match the committed baseline files.
 func SubstrateBenches() []Bench {
 	benches := []Bench{
-		{"FabricForwarding", benchForwarding},
-		{"DcPIMEndToEnd", benchEndToEnd},
+		{"FabricForwarding", BenchForwarding},
+		{"DcPIMEndToEnd", BenchEndToEnd},
 	}
 	for _, shards := range []int{1, 2, 4} {
 		shards := shards
 		benches = append(benches, Bench{
 			Name: fmt.Sprintf("FatTreeSharded_shards%d", shards),
-			Fn:   func(b *testing.B) { benchFatTreeSharded(b, shards) },
+			Fn: func(b *testing.B) {
+				BenchFatTreeSharded(b, topo.SmallFatTree().Build(), 100*sim.Microsecond, shards)
+			},
 		})
 	}
 	for _, hosts := range []int{128, 1024, 4096} {
-		for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-			hosts, q := hosts, q
-			benches = append(benches, Bench{
-				Name: fmt.Sprintf("EngineHold_%s_%dh", q, hosts),
-				Fn:   func(b *testing.B) { benchEngineHold(b, q, expectedPending(hosts, 1)) },
-			})
-		}
-	}
-	for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-		q := q
+		hosts := hosts
 		benches = append(benches, Bench{
-			Name: fmt.Sprintf("EngineHoldDeep_%s_1M", q),
-			Fn:   func(b *testing.B) { benchEngineHoldDeep(b, q, 1_000_000) },
+			Name: fmt.Sprintf("EngineHold_heap_%dh", hosts),
+			Fn:   func(b *testing.B) { benchEngineHold(b, pendingPerHost*hosts) },
 		})
 	}
+	benches = append(benches, Bench{
+		Name: "EngineHoldDeep_heap_1M",
+		Fn:   func(b *testing.B) { benchEngineHoldDeep(b, 1_000_000) },
+	})
 	for _, mode := range []sim.BarrierMode{sim.BarrierChannel, sim.BarrierHybrid} {
 		for _, busy := range []struct {
 			name string
@@ -176,21 +180,24 @@ func CheckBenchJSON(baselineDir string, w io.Writer) error {
 	return nil
 }
 
-type nopProto struct{}
+// NopProtocol is a protocol that sends nothing and ignores what it
+// receives: the fabric alone carries the packets a benchmark injects.
+type NopProtocol struct{}
 
-func (nopProto) Start(*netsim.Host)          {}
-func (nopProto) OnFlowArrival(workload.Flow) {}
-func (nopProto) OnPacket(*packet.Packet)     {}
+func (NopProtocol) Start(*netsim.Host)          {}
+func (NopProtocol) OnFlowArrival(workload.Flow) {}
+func (NopProtocol) OnPacket(*packet.Packet)     {}
 
-// benchForwarding mirrors the root BenchmarkFabricForwarding: raw packets
-// through a loaded leaf-spine with a no-op protocol.
-func benchForwarding(b *testing.B) {
+// BenchForwarding measures raw fabric throughput: packets per second the
+// simulator pushes through a loaded leaf-spine with a no-op protocol.
+// One op = one packet sent, drained in batches of 64.
+func BenchForwarding(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine(1)
 	tp := topo.SmallLeafSpine().Build()
 	fab := netsim.New(eng, tp, netsim.Config{Spray: true})
 	for i := 0; i < tp.NumHosts; i++ {
-		fab.AttachProtocol(i, nopProto{})
+		fab.AttachProtocol(i, NopProtocol{})
 	}
 	fab.Start()
 	b.ResetTimer()
@@ -205,9 +212,9 @@ func benchForwarding(b *testing.B) {
 	eng.RunAll()
 }
 
-// benchEndToEnd mirrors the root BenchmarkDcPIMEndToEnd through the Run
-// pipeline: an 8-host dcPIM simulation at load 0.6.
-func benchEndToEnd(b *testing.B) {
+// BenchEndToEnd measures a full dcPIM simulation through the Run
+// pipeline: one op = 300 µs of an 8-host leaf-spine at load 0.6.
+func BenchEndToEnd(b *testing.B) {
 	b.ReportAllocs()
 	tp := topo.SmallLeafSpine().Build()
 	tr := workload.AllToAllConfig{
@@ -228,11 +235,11 @@ func benchEndToEnd(b *testing.B) {
 // schedules one replacement. The delay mix mirrors dcPIM's event stream
 // — dominated by sub-µs per-packet serialization and control timers,
 // with a tail of epoch-scale (tens of µs) matching and retransmission
-// timers — which is what separates a calendar queue (O(1) near the
-// cursor) from a heap (log n everywhere). One op = one Step.
-func benchEngineHold(b *testing.B, q sim.QueueDiscipline, pending int) {
+// timers. The delays are random, so the delay lanes take almost none of
+// them and the residual heap holds the population. One op = one Step.
+func benchEngineHold(b *testing.B, pending int) {
 	b.ReportAllocs()
-	eng := sim.NewEngineQueue(int64(pending), q)
+	eng := sim.NewEngine(int64(pending))
 	rng := eng.Rand()
 	delay := func() sim.Duration {
 		if rng.Intn(16) == 0 {
@@ -256,13 +263,10 @@ func benchEngineHold(b *testing.B, q sim.QueueDiscipline, pending int) {
 // benchEngineHoldDeep is the hold model at hyperscale population — 10⁶
 // live events — with a delay mix that adds a 1-in-64 far-future tail
 // (up to 80 ms) on top of the dcPIM-shaped mix. The population puts the
-// heap ~20 comparisons deep per op, and the far tail lands beyond the
-// ladder's spawn range, exercising its hierarchical upper rungs (the
-// tier that replaced the O(n) overflow re-bucketing); near-cursor pops
-// stay O(1). One op = one Step.
-func benchEngineHoldDeep(b *testing.B, q sim.QueueDiscipline, pending int) {
+// heap ~20 comparisons deep per op. One op = one Step.
+func benchEngineHoldDeep(b *testing.B, pending int) {
 	b.ReportAllocs()
-	eng := sim.NewEngineQueue(int64(pending), q)
+	eng := sim.NewEngine(int64(pending))
 	rng := eng.Rand()
 	delay := func() sim.Duration {
 		switch {
@@ -316,13 +320,14 @@ func benchGroupEpoch(b *testing.B, mode sim.BarrierMode, busy int) {
 	}
 }
 
-// benchFatTreeSharded runs one fixed dcPIM FatTree simulation at the
-// given shard count (the k=4 16-host tree — small enough for a CI
-// benchmarks job; the root bench_test variant covers the 128-host tree).
-func benchFatTreeSharded(b *testing.B, shards int) {
+// BenchFatTreeSharded runs one fixed dcPIM simulation on the FatTree tp
+// at the given shard count: IMC10 all-to-all at load 0.6 for horizon,
+// drained for half as long again. The seeds are fixed, so every shard
+// count runs the identical simulation and only wall-clock time changes.
+// SubstrateBenches uses the k=4 16-host tree, small enough for a CI
+// benchmarks job; the root BenchmarkFatTreeSharded the 128-host tree.
+func BenchFatTreeSharded(b *testing.B, tp *topo.Topology, horizon sim.Duration, shards int) {
 	b.ReportAllocs()
-	tp := topo.SmallFatTree().Build()
-	horizon := 100 * sim.Microsecond
 	tr := workload.AllToAllConfig{
 		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.6,
 		Dist: workload.IMC10(), Horizon: horizon, Seed: 42,

@@ -130,6 +130,16 @@ func Resume(spec RunSpec, snap *checkpoint.Snapshot) (RunResult, []*checkpoint.S
 	return rs.result(), post, nil
 }
 
+// The engine has one residual event queue, the heap. Snapshots still
+// name it, in the meta and as one byte per engine section, so the
+// version-2 format stays byte for byte what it was while a second
+// discipline existed, and a snapshot taken under the removed ladder
+// queue fails checkCompat on "queue discipline".
+const (
+	ckptQueue     = "heap"
+	ckptQueueByte = 1
+)
+
 // checkCompat rejects snapshots that belong to a different run than
 // spec describes. Field order is most-specific-message first.
 func checkCompat(spec RunSpec, m checkpoint.Meta) error {
@@ -137,7 +147,6 @@ func checkCompat(spec RunSpec, m checkpoint.Meta) error {
 	if n < 1 {
 		n = 1
 	}
-	q := sim.PickQueue(spec.Queue, expectedPending(spec.Topo.NumHosts, n))
 	for _, c := range []struct{ field, got, want string }{
 		{"protocol", m.Protocol, spec.Protocol},
 		{"seed", fmt.Sprint(m.Seed), fmt.Sprint(spec.Seed)},
@@ -145,7 +154,7 @@ func checkCompat(spec RunSpec, m checkpoint.Meta) error {
 		{"topology hash", fmt.Sprintf("%#016x", m.TopoHash), fmt.Sprintf("%#016x", topoHash(spec.Topo))},
 		{"spec hash", fmt.Sprintf("%#016x", m.SpecHash), fmt.Sprintf("%#016x", specHash(spec))},
 		{"shards", fmt.Sprint(m.Shards), fmt.Sprint(n)},
-		{"queue discipline", m.Queue, q.String()},
+		{"queue discipline", m.Queue, ckptQueue},
 		{"horizon", fmt.Sprintf("%d ps", m.HorizonPs), fmt.Sprintf("%d ps", int64(spec.Horizon))},
 		{"cadence", fmt.Sprintf("%d ps", m.EveryPs), fmt.Sprintf("%d ps", int64(spec.Checkpoint.Every))},
 	} {
@@ -170,7 +179,7 @@ func (rs *runState) capture(at sim.Time, idx int) *checkpoint.Snapshot {
 		Seed:      rs.spec.Seed,
 		Hosts:     rs.spec.Topo.NumHosts,
 		Shards:    len(rs.engines),
-		Queue:     rs.q.String(),
+		Queue:     ckptQueue,
 		TopoHash:  topoHash(rs.spec.Topo),
 		SpecHash:  specHash(rs.spec),
 		HorizonPs: int64(rs.spec.Horizon),
@@ -225,7 +234,7 @@ func encodeEngineState(e *checkpoint.Encoder, st sim.EngineState) {
 	e.U64(st.Seq)
 	e.U64(st.Events)
 	e.U64(st.Draws)
-	e.U8(uint8(st.Queue))
+	e.U8(ckptQueueByte)
 	e.U32(uint32(len(st.Pending)))
 	for _, rec := range st.Pending {
 		e.I64(int64(rec.At))
@@ -418,7 +427,7 @@ func firstEventDivergence(a, b *checkpoint.Snapshot) *EventDivergence {
 // journals every `every`. ResumeFile reconstructs this spec from a
 // snapshot's meta alone, so every parameter must derive from the
 // arguments deterministically.
-func ckptSpec(seed int64, hosts int, horizon, every sim.Duration, shards int, q sim.QueueDiscipline, dir string) RunSpec {
+func ckptSpec(seed int64, hosts int, horizon, every sim.Duration, shards int, dir string) RunSpec {
 	tp := fatTreeFor(hosts)
 	tr := workload.AllToAllConfig{
 		Hosts: tp.NumHosts, HostRate: tp.HostRate, Load: 0.5,
@@ -426,7 +435,7 @@ func ckptSpec(seed int64, hosts int, horizon, every sim.Duration, shards int, q 
 	}.Generate()
 	return RunSpec{
 		Protocol: DCPIM, Topo: tp, Trace: tr,
-		Horizon: horizon, Seed: seed, Shards: shards, Queue: q,
+		Horizon: horizon, Seed: seed, Shards: shards,
 		Digest: true,
 		Checkpoint: &CheckpointSpec{
 			Every: every, Dir: dir, Journal: true,
@@ -439,15 +448,8 @@ func ckptSpec(seed int64, hosts int, horizon, every sim.Duration, shards int, q 
 // came from. Resume's spec-hash check then proves the reconstruction
 // exact (snapshots from other experiments fail it with a CompatError).
 func ckptSpecFromMeta(o Options, m checkpoint.Meta) RunSpec {
-	var q sim.QueueDiscipline
-	switch m.Queue {
-	case "heap":
-		q = sim.QueueHeap
-	case "ladder":
-		q = sim.QueueLadder
-	}
 	return ckptSpec(m.Seed, m.Hosts, sim.Duration(m.HorizonPs), sim.Duration(m.EveryPs),
-		m.Shards, q, o.CheckpointDir)
+		m.Shards, o.CheckpointDir)
 }
 
 // RunCkpt is the checkpoint/restore acceptance experiment: run the
@@ -463,7 +465,7 @@ func RunCkpt(o Options, w io.Writer) error {
 	if every <= 0 {
 		every = sim.Microsecond
 	}
-	spec := ckptSpec(o.Seed, o.Hosts, horizon, every, o.Shards, o.Queue, o.CheckpointDir)
+	spec := ckptSpec(o.Seed, o.Hosts, horizon, every, o.Shards, o.CheckpointDir)
 	fmt.Fprintf(w, "checkpoint run: %s on %s, %d flows, horizon %v, snapshot every %v\n",
 		spec.Protocol, spec.Topo.Name, len(spec.Trace.Flows), sim.Time(0).Add(horizon), every)
 	res, snaps := RunCheckpointed(spec)
@@ -472,7 +474,7 @@ func RunCkpt(o Options, w io.Writer) error {
 		return fmt.Errorf("no snapshots taken (horizon %v, cadence %v)", sim.Time(0).Add(horizon), every)
 	}
 	mid := snaps[len(snaps)/2]
-	res2, post, err := Resume(ckptSpec(o.Seed, o.Hosts, horizon, every, o.Shards, o.Queue, ""), mid)
+	res2, post, err := Resume(ckptSpec(o.Seed, o.Hosts, horizon, every, o.Shards, ""), mid)
 	if err != nil {
 		return err
 	}

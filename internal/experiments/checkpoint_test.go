@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -43,50 +44,48 @@ func assertRunsEqual(t *testing.T, what string, want, got RunResult) {
 // checkpoint at a randomized mid-run cadence, resume from a randomized
 // snapshot, and require every observable — digest, records, counters,
 // CSV/JSON, and all post-resume snapshots — byte-identical to the
-// uninterrupted run, across shard counts and queue disciplines, with
-// and without a fault schedule. The checkpointed run itself must also
-// match a plain (never-checkpointed) run, proving capture is pure.
+// uninterrupted run, across shard counts, with and without a fault
+// schedule. The checkpointed run itself must also match a plain
+// (never-checkpointed) run, proving capture is pure. The "heap" in the
+// subtest names is the engine's one residual event queue.
 func TestResumeEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for _, withFaults := range []bool{false, true} {
 		for _, shards := range []int{1, 4} {
-			for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-				every := sim.Duration(int64(2*sim.Millisecond) / int64(3+rng.Intn(4)))
-				pick := rng.Int63()
-				t.Run(fmt.Sprintf("faults=%v/shards=%d/%s", withFaults, shards, q), func(t *testing.T) {
-					prep := func(withCk bool) RunSpec {
-						spec := goldenSpec(t, DCPIM, withFaults)
-						spec.Shards = shards
-						spec.Queue = q
-						spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "ckpt-prop"}
-						if withCk {
-							spec.Checkpoint = &CheckpointSpec{Every: every, Journal: true}
-						}
-						return spec
+			every := sim.Duration(int64(2*sim.Millisecond) / int64(3+rng.Intn(4)))
+			pick := rng.Int63()
+			t.Run(fmt.Sprintf("faults=%v/shards=%d/heap", withFaults, shards), func(t *testing.T) {
+				prep := func(withCk bool) RunSpec {
+					spec := goldenSpec(t, DCPIM, withFaults)
+					spec.Shards = shards
+					spec.Metrics = &MetricsSpec{Interval: 10 * sim.Microsecond, Label: "ckpt-prop"}
+					if withCk {
+						spec.Checkpoint = &CheckpointSpec{Every: every, Journal: true}
 					}
-					plain := Run(prep(false))
-					ckRes, snaps := RunCheckpointed(prep(true))
-					assertRunsEqual(t, "checkpointed vs plain", plain, ckRes)
-					if len(snaps) == 0 {
-						t.Fatalf("no snapshots at cadence %v", every)
+					return spec
+				}
+				plain := Run(prep(false))
+				ckRes, snaps := RunCheckpointed(prep(true))
+				assertRunsEqual(t, "checkpointed vs plain", plain, ckRes)
+				if len(snaps) == 0 {
+					t.Fatalf("no snapshots at cadence %v", every)
+				}
+				k := int(pick % int64(len(snaps)))
+				resRes, post, err := Resume(prep(true), snaps[k])
+				if err != nil {
+					t.Fatalf("resume from snapshot %d (t=%v): %v", k, sim.Time(snaps[k].Meta.TimePs), err)
+				}
+				assertRunsEqual(t, fmt.Sprintf("resumed-from-%d vs plain", k), plain, resRes)
+				want := snaps[k+1:]
+				if len(post) != len(want) {
+					t.Fatalf("resume took %d post-resume snapshots, uninterrupted took %d", len(post), len(want))
+				}
+				for i := range post {
+					if err := checkpoint.Compare(want[i], post[i]); err != nil {
+						t.Errorf("post-resume snapshot %d: %v", want[i].Meta.Index, err)
 					}
-					k := int(pick % int64(len(snaps)))
-					resRes, post, err := Resume(prep(true), snaps[k])
-					if err != nil {
-						t.Fatalf("resume from snapshot %d (t=%v): %v", k, sim.Time(snaps[k].Meta.TimePs), err)
-					}
-					assertRunsEqual(t, fmt.Sprintf("resumed-from-%d vs plain", k), plain, resRes)
-					want := snaps[k+1:]
-					if len(post) != len(want) {
-						t.Fatalf("resume took %d post-resume snapshots, uninterrupted took %d", len(post), len(want))
-					}
-					for i := range post {
-						if err := checkpoint.Compare(want[i], post[i]); err != nil {
-							t.Errorf("post-resume snapshot %d: %v", want[i].Meta.Index, err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -177,10 +176,27 @@ func TestBisectNoDivergence(t *testing.T) {
 // fixtureSpec pins the golden snapshot fixture's run: the canonical
 // ckpt-experiment spec at committed parameters (16-host FatTree).
 func fixtureSpec() RunSpec {
-	return ckptSpec(7, 16, 200*sim.Microsecond, 50*sim.Microsecond, 0, sim.QueueHeap, "")
+	return ckptSpec(7, 16, 200*sim.Microsecond, 50*sim.Microsecond, 0, "")
 }
 
 const fixturePath = "testdata/ckpt-fattree16.dcpimck"
+
+// writeFixture runs fixtureSpec and writes its second snapshot, the
+// fixture, to path.
+func writeFixture(t *testing.T, path string) {
+	t.Helper()
+	_, snaps := RunCheckpointed(fixtureSpec())
+	if len(snaps) != 4 {
+		t.Fatalf("fixture run took %d snapshots, want 4", len(snaps))
+	}
+	var buf bytes.Buffer
+	if err := snaps[1].Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestGoldenCheckpointFixture locks the on-disk snapshot format and the
 // simulation's event stream to a checked-in fixture. A failure here
@@ -192,21 +208,11 @@ const fixturePath = "testdata/ckpt-fattree16.dcpimck"
 // and bump checkpoint.Version if the byte format itself changed.
 func TestGoldenCheckpointFixture(t *testing.T) {
 	if os.Getenv("DCPIM_REGEN_CKPT") != "" {
-		_, snaps := RunCheckpointed(fixtureSpec())
-		if len(snaps) != 4 {
-			t.Fatalf("fixture run took %d snapshots, want 4", len(snaps))
-		}
-		var buf bytes.Buffer
-		if err := snaps[1].Checkpoint(&buf); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(fixturePath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s (%d bytes)", fixturePath, buf.Len())
+		writeFixture(t, fixturePath)
+		t.Logf("regenerated %s", fixturePath)
 	}
 	raw, err := os.ReadFile(fixturePath)
 	if err != nil {
@@ -230,6 +236,19 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 		}
 	})
 
+	t.Run("regenerates-byte-identical", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "fixture.dcpimck")
+		writeFixture(t, path)
+		fresh, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fresh, raw) {
+			t.Fatalf("regenerated fixture (%d bytes) differs from %s (%d bytes): the snapshot format or the event stream changed (see regeneration note)",
+				len(fresh), fixturePath, len(raw))
+		}
+	})
+
 	t.Run("version-mismatch", func(t *testing.T) {
 		bad := *snap
 		bad.Meta.Version = checkpoint.Version + 1
@@ -244,7 +263,7 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 	})
 
 	t.Run("topology-mismatch", func(t *testing.T) {
-		spec := ckptSpec(7, 128, 200*sim.Microsecond, 50*sim.Microsecond, 0, sim.QueueHeap, "")
+		spec := ckptSpec(7, 128, 200*sim.Microsecond, 50*sim.Microsecond, 0, "")
 		_, _, err := Resume(spec, snap)
 		var ce *checkpoint.CompatError
 		if !errors.As(err, &ce) {
@@ -268,7 +287,7 @@ func TestGoldenCheckpointFixture(t *testing.T) {
 // reconstruct the exact spec it came from (the property -resume relies
 // on), proven by the spec-hash gate inside Resume accepting it.
 func TestCkptSpecFromMetaRoundTrip(t *testing.T) {
-	spec := ckptSpec(11, 16, 120*sim.Microsecond, 40*sim.Microsecond, 0, sim.QueueLadder, "")
+	spec := ckptSpec(11, 16, 120*sim.Microsecond, 40*sim.Microsecond, 4, "")
 	_, snaps := RunCheckpointed(spec)
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots")
@@ -276,5 +295,38 @@ func TestCkptSpecFromMetaRoundTrip(t *testing.T) {
 	rebuilt := ckptSpecFromMeta(Options{}, snaps[0].Meta)
 	if _, _, err := Resume(rebuilt, snaps[0]); err != nil {
 		t.Fatalf("spec rebuilt from meta does not resume its own snapshot: %v", err)
+	}
+}
+
+// TestResumeRejectsLadderSnapshot: a snapshot taken while the engine
+// could still run the ladder queue records "ladder" as its queue
+// discipline. Nothing can replay it now, so Resume must refuse it with a
+// typed CompatError naming the field, not by diverging mid-replay.
+func TestResumeRejectsLadderSnapshot(t *testing.T) {
+	spec := ckptSpec(11, 16, 120*sim.Microsecond, 40*sim.Microsecond, 0, "")
+	_, snaps := RunCheckpointed(spec)
+	if len(snaps) == 0 {
+		t.Fatal("no snapshots")
+	}
+	if got := snaps[0].Meta.Queue; got != "heap" {
+		t.Fatalf("fresh snapshot records queue discipline %q, want \"heap\"", got)
+	}
+	old := *snaps[0]
+	old.Meta.Queue = "ladder"
+	var buf bytes.Buffer
+	if err := old.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Read(&buf)
+	if err != nil {
+		t.Fatalf("re-encoded snapshot unreadable: %v", err)
+	}
+	_, _, err = Resume(spec, snap)
+	var ce *checkpoint.CompatError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want CompatError, got %v", err)
+	}
+	if ce.Field != "queue discipline" || ce.Got != "ladder" || ce.Want != "heap" {
+		t.Errorf("CompatError %+v, want field \"queue discipline\", got ladder, want heap", ce)
 	}
 }

@@ -71,7 +71,7 @@ func RunFig4a(o Options, w io.Writer) error {
 	for _, proto := range fig4aProtocols {
 		res := Run(RunSpec{
 			Protocol: proto, Topo: tp, Trace: trace,
-			Horizon: horizon, Seed: o.Seed + 9, Shards: o.Shards, Queue: o.Queue, BinWidth: 50 * sim.Microsecond,
+			Horizon: horizon, Seed: o.Seed + 9, Shards: o.Shards, BinWidth: 50 * sim.Microsecond,
 			Metrics: o.metrics("fig4a-" + proto),
 		})
 		// Normalize by the 16 loaded receiver downlinks, not all hosts.
@@ -110,7 +110,7 @@ func RunFig4b(o Options, w io.Writer) error {
 		}.Generate()
 		res := Run(RunSpec{
 			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 5, Shards: o.Shards, Queue: o.Queue,
+			Horizon: horizon + horizon/2, Seed: o.Seed + 5, Shards: o.Shards,
 		})
 		s := stats.Summarize(res.Records, nil)
 		tbl.add(proto, s.Mean, s.P99, fmt.Sprintf("%d/%d", res.Col.Completed(), res.Started))
@@ -138,7 +138,7 @@ func RunFig4c(o Options, w io.Writer) error {
 	for _, proto := range fig4aProtocols {
 		res := Run(RunSpec{
 			Protocol: proto, Topo: tp, Trace: tr,
-			Horizon: horizon, Seed: o.Seed + 3, Shards: o.Shards, Queue: o.Queue,
+			Horizon: horizon, Seed: o.Seed + 3, Shards: o.Shards,
 		})
 		steady := steadyUtilization(res, horizon/2, horizon)
 		early := steadyUtilization(res, 100*sim.Microsecond, 300*sim.Microsecond)

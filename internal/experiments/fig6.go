@@ -30,7 +30,7 @@ func RunFig6(o Options, w io.Writer) error {
 		c := cfg
 		return RunSpec{
 			Protocol: DCPIM, Topo: tp, Trace: tr,
-			Horizon: horizon + horizon/2, Seed: o.Seed + 31, Shards: o.Shards, Queue: o.Queue, DcPIM: &c,
+			Horizon: horizon + horizon/2, Seed: o.Seed + 31, Shards: o.Shards, DcPIM: &c,
 		}
 	}
 	summarize := func(res RunResult) (util float64, short, all stats.Summary) {

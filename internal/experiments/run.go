@@ -82,11 +82,6 @@ type Options struct {
 	// CheckpointDir, when non-empty, receives the snapshot files
 	// (<label>.ck<index>.dcpimck) of checkpointed runs.
 	CheckpointDir string
-	// Queue selects the engine event-queue discipline (heap, ladder, or
-	// auto-pick from expected event density). Execution order — and thus
-	// every digest — is identical under either discipline; only wall-clock
-	// time changes. See DESIGN.md §13.
-	Queue sim.QueueDiscipline
 	// Matchers restricts the `matchers` experiment to a comma-separated
 	// list of registered matcher names (empty = all registered; see
 	// internal/matching's registry and DESIGN.md §15).
@@ -155,12 +150,11 @@ type RunSpec struct {
 	Trace    *workload.Trace
 	Horizon  sim.Duration // total run time (trace horizon + drain)
 	Seed     int64
-	Shards   int                 // fabric shard count (0 or 1 = serial)
-	Queue    sim.QueueDiscipline // engine event-queue discipline (QueueAuto = pick by density)
-	Barrier  sim.BarrierMode     // epoch-barrier implementation (zero value = hybrid; byte-identical either way)
-	BinWidth sim.Duration        // utilization series bin (0 = 10 µs)
-	DcPIM    *core.Config        // optional dcPIM parameter override
-	Fabric   *netsim.Config      // optional fabric override
+	Shards   int             // fabric shard count (0 or 1 = serial)
+	Barrier  sim.BarrierMode // epoch-barrier implementation (zero value = hybrid; byte-identical either way)
+	BinWidth sim.Duration    // utilization series bin (0 = 10 µs)
+	DcPIM    *core.Config    // optional dcPIM parameter override
+	Fabric   *netsim.Config  // optional fabric override
 
 	// Faults, when set, is installed on the fabric before the run: the
 	// resilience experiment scripts link failures, loss bursts, switch
@@ -195,10 +189,9 @@ type RunResult struct {
 	Hosts    int
 	HostRate float64
 	Trace    *workload.Trace
-	End      sim.Time            // simulation end (horizon)
-	Digest   uint64              // FNV-1a over the delivered-packet stream (RunSpec.Digest)
-	Events   uint64              // engine events executed, summed over shards
-	Queue    sim.QueueDiscipline // resolved event-queue discipline
+	End      sim.Time // simulation end (horizon)
+	Digest   uint64   // FNV-1a over the delivered-packet stream (RunSpec.Digest)
+	Events   uint64   // engine events executed, summed over shards
 
 	// ShardStats profiles the barrier loop: per-shard event counts,
 	// staged boundary arrivals, and epochs dispatched versus idle-skipped.
@@ -283,7 +276,6 @@ func Run(spec RunSpec) RunResult {
 // so both drivers produce byte-identical results.
 type runState struct {
 	spec        RunSpec
-	q           sim.QueueDiscipline
 	engines     []*sim.Engine
 	grp         *sim.Group
 	col         *stats.Collector
@@ -301,10 +293,9 @@ func newRunState(spec RunSpec) *runState {
 	if n < 1 {
 		n = 1
 	}
-	q := sim.PickQueue(spec.Queue, expectedPending(spec.Topo.NumHosts, n))
 	engines := make([]*sim.Engine, n)
 	for i := range engines {
-		engines[i] = sim.NewEngineQueue(spec.Seed, q)
+		engines[i] = sim.NewEngine(spec.Seed)
 	}
 	grp := sim.NewGroupMode(engines, spec.Barrier)
 	part, err := topo.MakePartition(spec.Topo, n)
@@ -385,7 +376,7 @@ func newRunState(spec RunSpec) *runState {
 	fab.Inject(spec.Trace)
 	smp.SampleAt(0)
 	return &runState{
-		spec: spec, q: q, engines: engines, grp: grp, col: col,
+		spec: spec, engines: engines, grp: grp, col: col,
 		fab: fab, reg: reg, smp: smp, interval: interval,
 		hostDigests: hostDigests,
 	}
@@ -417,7 +408,6 @@ func (rs *runState) result() RunResult {
 	res := RunResult{
 		Digest:     digest,
 		Events:     events,
-		Queue:      rs.q,
 		ShardStats: rs.fab.ShardStats(),
 		Protocol:   spec.Protocol,
 		Records:    rs.col.Records(),
@@ -434,23 +424,6 @@ func (rs *runState) result() RunResult {
 		res.MetricsCSV, res.MetricsJSON = emitMetrics(spec, rs.reg, rs.smp)
 	}
 	return res
-}
-
-// pendingPerHost is the measured peak of engine-pending events per host
-// under the heaviest steady workloads used here (dcPIM all-to-all at load
-// 0.6 peaks near 19 pending events per host on both the 128- and
-// 1024-host FatTrees; see DESIGN.md §13). QueueAuto compares the
-// resulting per-engine estimate against sim.LadderDensityMin.
-const pendingPerHost = 19
-
-// expectedPending estimates peak pending events on one engine when hosts
-// are spread over n shards. The LPT partition keeps host counts within
-// one pod of even, so the mean is a faithful per-engine estimate.
-func expectedPending(hosts, n int) int {
-	if n < 1 {
-		n = 1
-	}
-	return pendingPerHost * hosts / n
 }
 
 // FNV-1a 64 folded over 8-byte words: cheap enough to run on every
@@ -493,7 +466,7 @@ func All() []Experiment {
 		{"fastpass", "§5 comparison: dcPIM vs Fastpass (centralized arbiter) short-flow latency", RunFastpass},
 		{"ablation", "dcPIM design ablations: FCT round on/off, token window sizing", RunAblation},
 		{"faults", "Fault resilience: FCT and completion vs fault intensity", RunFaults},
-		{"scale", "Hyperscale campaign: hosts × load × shards × GOMAXPROCS × queue discipline", RunScale},
+		{"scale", "Hyperscale campaign: hosts × load × shards × GOMAXPROCS", RunScale},
 		{"ckpt", "Checkpoint/restore: periodic snapshots, verified resume equivalence", RunCkpt},
 		{"matchers", "Matcher lab: registry-wide matcher-vs-matcher sweep (rounds, control bytes, size vs M*)", RunMatchers},
 	}

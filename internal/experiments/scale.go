@@ -21,7 +21,6 @@ type ScaleResult struct {
 	Load         float64 `json:"load"`
 	Shards       int     `json:"shards"`
 	Procs        int     `json:"procs"` // GOMAXPROCS the cell ran under
-	Queue        string  `json:"queue"`
 	WallMS       float64 `json:"wall_ms"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
@@ -65,8 +64,8 @@ func procsFor(o Options) []int {
 // scaleCellLabel names one campaign cell's snapshot files. Every axis
 // that changes the run (or its snapshot metadata) is in the name, so a
 // resumed cell can only ever pick up its own snapshots.
-func scaleCellLabel(hosts int, load float64, shards, procs int, q sim.QueueDiscipline) string {
-	return fmt.Sprintf("scale-h%d-l%02d-s%d-p%d-%s", hosts, int(load*100), shards, procs, q)
+func scaleCellLabel(hosts int, load float64, shards, procs int) string {
+	return fmt.Sprintf("scale-h%d-l%02d-s%d-p%d", hosts, int(load*100), shards, procs)
 }
 
 // latestSnapshot returns the highest-index snapshot of one cell label in
@@ -115,12 +114,11 @@ func runScaleCell(spec RunSpec, w io.Writer) (RunResult, bool) {
 }
 
 // RunScale is the hyperscale campaign (DESIGN.md §13, §16): it sweeps
-// the FatTree over hosts × load × shard count × GOMAXPROCS × queue
-// discipline, reporting wall time, event throughput, barrier profile
-// (epochs dispatched vs idle-skipped), and the delivered-stream digest
-// for every cell. Within one (hosts, load) group the digest must be
-// identical across every shard count, processor count and both
-// disciplines — the run fails otherwise, making the campaign itself a
+// the FatTree over hosts × load × shard count × GOMAXPROCS, reporting
+// wall time, event throughput, barrier profile (epochs dispatched vs
+// idle-skipped), and the delivered-stream digest for every cell. Within
+// one (hosts, load) group the digest must be identical across every
+// shard count and processor count — the run fails otherwise, making the campaign itself a
 // determinism check at scales the unit tests don't reach.
 //
 // Flags narrow the sweep: -hosts, -shards and -procs pin those axes, and
@@ -154,7 +152,6 @@ func RunScale(o Options, w io.Writer) error {
 		}
 	}
 	procsSet := procsFor(o)
-	queues := []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder}
 
 	prevProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prevProcs)
@@ -162,8 +159,8 @@ func RunScale(o Options, w io.Writer) error {
 	var rows []ScaleResult
 	fmt.Fprintf(w, "sweep pool: %d workers (GOMAXPROCS %d); procs axis %v\n",
 		o.EffectiveWorkers(), prevProcs, procsSet)
-	fmt.Fprintf(w, "%6s %5s %7s %6s %7s %10s %9s %12s %7s %8s  %s\n",
-		"hosts", "load", "shards", "procs", "queue", "wall_ms", "events", "events/s", "flows", "skipped", "digest")
+	fmt.Fprintf(w, "%6s %5s %7s %6s %10s %9s %12s %7s %8s  %s\n",
+		"hosts", "load", "shards", "procs", "wall_ms", "events", "events/s", "flows", "skipped", "digest")
 	for _, hosts := range hostSet {
 		tp := fatTreeFor(hosts)
 		horizon := scaleHorizon(o, hosts)
@@ -175,63 +172,61 @@ func RunScale(o Options, w io.Writer) error {
 			var groupDigest uint64
 			haveDigest := false
 			for _, shards := range shardsFor(hosts) {
-				for _, q := range queues {
-					for _, procs := range procsSet {
-						runtime.GOMAXPROCS(procs)
-						spec := RunSpec{
-							Protocol: DCPIM, Topo: tp, Trace: tr,
-							Horizon: horizon + horizon/2, Seed: o.Seed + 7,
-							Shards: shards, Queue: q, Digest: true,
-						}
-						if o.CheckpointEvery > 0 {
-							spec.Checkpoint = &CheckpointSpec{
-								Every: o.CheckpointEvery, Dir: o.CheckpointDir,
-								Label: scaleCellLabel(hosts, load, shards, procs, q), Journal: true,
-							}
-						}
-						elapsed := WallTimer()
-						res, resumed := runScaleCell(spec, w)
-						wall := elapsed()
-						runtime.GOMAXPROCS(prevProcs)
-						if !haveDigest {
-							groupDigest, haveDigest = res.Digest, true
-						} else if res.Digest != groupDigest {
-							return fmt.Errorf("scale: hosts=%d load=%.1f shards=%d procs=%d queue=%s digest %#016x diverges from group %#016x",
-								hosts, load, shards, procs, q, res.Digest, groupDigest)
-						}
-						var dispatched, skipped, epochs uint64
-						for _, s := range res.ShardStats {
-							dispatched += s.Dispatched
-							skipped += s.Skipped
-							if n := s.Dispatched + s.Skipped; n > epochs {
-								epochs = n
-							}
-						}
-						var skippedPct float64
-						if dispatched+skipped > 0 {
-							skippedPct = 100 * float64(skipped) / float64(dispatched+skipped)
-						}
-						row := ScaleResult{
-							Hosts: hosts, Load: load, Shards: shards, Procs: procs, Queue: q.String(),
-							WallMS:       float64(wall.Microseconds()) / 1000,
-							Events:       res.Events,
-							EventsPerSec: float64(res.Events) / wall.Seconds(),
-							Flows:        res.Started,
-							Completed:    res.Col.Completed(),
-							Epochs:       epochs,
-							SkippedPct:   skippedPct,
-							Resumed:      resumed,
-							Digest:       fmt.Sprintf("%#016x", res.Digest),
-						}
-						rows = append(rows, row)
-						mark := ""
-						if resumed {
-							mark = " (resumed)"
-						}
-						fmt.Fprintf(w, "%6d %5.1f %7d %6d %7s %10.1f %9d %12.0f %7d %7.1f%%  %s%s\n",
-							hosts, load, shards, procs, q, row.WallMS, row.Events,
-							row.EventsPerSec, row.Flows, row.SkippedPct, row.Digest, mark)
+				for _, procs := range procsSet {
+					runtime.GOMAXPROCS(procs)
+					spec := RunSpec{
+						Protocol: DCPIM, Topo: tp, Trace: tr,
+						Horizon: horizon + horizon/2, Seed: o.Seed + 7,
+						Shards: shards, Digest: true,
 					}
+					if o.CheckpointEvery > 0 {
+						spec.Checkpoint = &CheckpointSpec{
+							Every: o.CheckpointEvery, Dir: o.CheckpointDir,
+							Label: scaleCellLabel(hosts, load, shards, procs), Journal: true,
+						}
+					}
+					elapsed := WallTimer()
+					res, resumed := runScaleCell(spec, w)
+					wall := elapsed()
+					runtime.GOMAXPROCS(prevProcs)
+					if !haveDigest {
+						groupDigest, haveDigest = res.Digest, true
+					} else if res.Digest != groupDigest {
+						return fmt.Errorf("scale: hosts=%d load=%.1f shards=%d procs=%d digest %#016x diverges from group %#016x",
+							hosts, load, shards, procs, res.Digest, groupDigest)
+					}
+					var dispatched, skipped, epochs uint64
+					for _, s := range res.ShardStats {
+						dispatched += s.Dispatched
+						skipped += s.Skipped
+						if n := s.Dispatched + s.Skipped; n > epochs {
+							epochs = n
+						}
+					}
+					var skippedPct float64
+					if dispatched+skipped > 0 {
+						skippedPct = 100 * float64(skipped) / float64(dispatched+skipped)
+					}
+					row := ScaleResult{
+						Hosts: hosts, Load: load, Shards: shards, Procs: procs,
+						WallMS:       float64(wall.Microseconds()) / 1000,
+						Events:       res.Events,
+						EventsPerSec: float64(res.Events) / wall.Seconds(),
+						Flows:        res.Started,
+						Completed:    res.Col.Completed(),
+						Epochs:       epochs,
+						SkippedPct:   skippedPct,
+						Resumed:      resumed,
+						Digest:       fmt.Sprintf("%#016x", res.Digest),
+					}
+					rows = append(rows, row)
+					mark := ""
+					if resumed {
+						mark = " (resumed)"
+					}
+					fmt.Fprintf(w, "%6d %5.1f %7d %6d %10.1f %9d %12.0f %7d %7.1f%%  %s%s\n",
+						hosts, load, shards, procs, row.WallMS, row.Events,
+						row.EventsPerSec, row.Flows, row.SkippedPct, row.Digest, mark)
 				}
 			}
 		}
@@ -254,7 +249,7 @@ func RunScale(o Options, w io.Writer) error {
 
 // printScaleSpeedups condenses the campaign into the figure the grid is
 // for: per (hosts, load), best parallel events/sec over the serial
-// (shards=1, procs=1, heap) baseline. Groups without both a baseline and
+// (shards=1, procs=1) baseline. Groups without both a baseline and
 // a parallel cell (pinned axes) are skipped.
 func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 	type key struct {
@@ -271,7 +266,7 @@ func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 			seen[k] = true
 			order = append(order, k)
 		}
-		if r.Shards == 1 && r.Procs == 1 && r.Queue == "heap" {
+		if r.Shards == 1 && r.Procs == 1 {
 			base[k] = r.EventsPerSec
 		}
 		if r.Shards > 1 && r.EventsPerSec > best[k].EventsPerSec {
@@ -286,10 +281,10 @@ func printScaleSpeedups(w io.Writer, rows []ScaleResult) {
 			continue
 		}
 		if !printed {
-			fmt.Fprintf(w, "speedup vs serial (shards=1, procs=1, heap):\n")
+			fmt.Fprintf(w, "speedup vs serial (shards=1, procs=1):\n")
 			printed = true
 		}
-		fmt.Fprintf(w, "  %5d hosts load %.1f: %.2fx at shards=%d procs=%d %s (%.0f vs %.0f events/s)\n",
-			k.hosts, k.load, p.EventsPerSec/b, p.Shards, p.Procs, p.Queue, p.EventsPerSec, b)
+		fmt.Fprintf(w, "  %5d hosts load %.1f: %.2fx at shards=%d procs=%d (%.0f vs %.0f events/s)\n",
+			k.hosts, k.load, p.EventsPerSec/b, p.Shards, p.Procs, p.EventsPerSec, b)
 	}
 }

@@ -7,37 +7,6 @@ import (
 	"dcpim/internal/workload"
 )
 
-// TestQueueDisciplineByteIdentity locks the queue-discipline invariant:
-// both event-queue implementations execute the same (time, seq) order, so
-// the golden digest runs — serial and sharded, clean and faulted — must
-// reproduce the checked-in digests under the ladder exactly as the
-// existing golden tests do under the heap.
-func TestQueueDisciplineByteIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		faults bool
-		want   uint64
-	}{
-		{"clean", false, goldenDigestClean},
-		{"faulted", true, goldenDigestFaulted},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, shards := range []int{1, 2, 4} {
-				spec := goldenSpec(t, DCPIM, tc.faults)
-				spec.Shards = shards
-				spec.Queue = sim.QueueLadder
-				res := Run(spec)
-				if res.Queue != sim.QueueLadder {
-					t.Fatalf("shards=%d resolved discipline %s, want ladder", shards, res.Queue)
-				}
-				if res.Digest != tc.want {
-					t.Errorf("ladder shards=%d digest %#016x, want golden %#016x", shards, res.Digest, tc.want)
-				}
-			}
-		})
-	}
-}
-
 // golden1024Digest locks the 1024-host FatTree campaign cell (WebSearch
 // all-to-all at load 0.3, 100 µs trace, seed 8 — the `-run scale` low-load
 // point). Regenerate the same way as the leaf-spine goldens: run the test
@@ -60,24 +29,21 @@ func scale1024Spec() RunSpec {
 }
 
 // Test1024HostDigest runs the 1024-host FatTree at 1, 8, 16 and 64 shards
-// under both queue disciplines and requires every run to reproduce the
-// committed digest: the hyperscale configurations the campaign actually
-// uses stay byte-identical to serial execution, not just the small
-// topologies the other determinism tests cover.
+// and requires every run to reproduce the committed digest: the
+// hyperscale configurations the campaign actually uses stay
+// byte-identical to serial execution, not just the small topologies the
+// other determinism tests cover.
 func Test1024HostDigest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("eight 1024-host runs")
+		t.Skip("four 1024-host runs")
 	}
 	for _, shards := range []int{1, 8, 16, 64} {
-		for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-			spec := scale1024Spec()
-			spec.Shards = shards
-			spec.Queue = q
-			res := Run(spec)
-			if res.Digest != golden1024Digest {
-				t.Errorf("shards=%d queue=%s digest %#016x, want golden %#016x (see regeneration note)",
-					shards, q, res.Digest, golden1024Digest)
-			}
+		spec := scale1024Spec()
+		spec.Shards = shards
+		res := Run(spec)
+		if res.Digest != golden1024Digest {
+			t.Errorf("shards=%d digest %#016x, want golden %#016x (see regeneration note)",
+				shards, res.Digest, golden1024Digest)
 		}
 	}
 }
@@ -105,22 +71,19 @@ func scale8192Spec() RunSpec {
 
 // Test8192HostDigest is the hyperscale-rung sibling of Test1024HostDigest:
 // the 8192-host FatTree must reproduce its committed digest serially and
-// at 8 shards, under both queue disciplines — structural routing, the
-// hybrid barrier and the ladder's upper rungs all in the hot path.
+// at 8 shards, with structural routing and the hybrid barrier in the hot
+// path.
 func Test8192HostDigest(t *testing.T) {
 	if testing.Short() {
-		t.Skip("four 8192-host runs")
+		t.Skip("two 8192-host runs")
 	}
 	for _, shards := range []int{1, 8} {
-		for _, q := range []sim.QueueDiscipline{sim.QueueHeap, sim.QueueLadder} {
-			spec := scale8192Spec()
-			spec.Shards = shards
-			spec.Queue = q
-			res := Run(spec)
-			if res.Digest != golden8192Digest {
-				t.Errorf("shards=%d queue=%s digest %#016x, want golden %#016x (see regeneration note)",
-					shards, q, res.Digest, golden8192Digest)
-			}
+		spec := scale8192Spec()
+		spec.Shards = shards
+		res := Run(spec)
+		if res.Digest != golden8192Digest {
+			t.Errorf("shards=%d digest %#016x, want golden %#016x (see regeneration note)",
+				shards, res.Digest, golden8192Digest)
 		}
 	}
 }

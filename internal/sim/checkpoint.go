@@ -29,23 +29,20 @@ type EventRecord struct {
 
 // EngineState is a complete logical snapshot of one engine: everything
 // that determines its future behavior, with physical layout (heap array
-// order, ladder bucket geometry, delay-lane bindings and tombstones, free
-// lists) normalized away. Two engines with equal EngineStates execute
+// order, delay-lane bindings and tombstones, free lists) normalized away. Two engines with equal EngineStates execute
 // identically from here on.
 type EngineState struct {
 	Now    Time
 	Seq    uint64 // next band-0 sequence number
 	Events uint64 // events executed so far
 	Draws  uint64 // RNG draws consumed from the seeded source
-	Queue  QueueDiscipline
 	// Pending holds every queued event in execution order (sorted by
 	// (At, Seq)), both bands merged.
 	Pending []EventRecord
 }
 
 // CaptureState snapshots the engine. Pure reads: the queues are walked
-// without popping (the ladder's drain front is not advanced), so capture
-// at a barrier never perturbs the run — the property that lets periodic
+// without popping, so capture at a barrier never perturbs the run — the property that lets periodic
 // checkpointing coexist with byte-identity goldens.
 func (e *Engine) CaptureState() EngineState {
 	st := EngineState{
@@ -53,7 +50,6 @@ func (e *Engine) CaptureState() EngineState {
 		Seq:    e.seq,
 		Events: e.nEvent,
 		Draws:  e.src.Draws(),
-		Queue:  e.Queue(),
 	}
 	st.Pending = make([]EventRecord, 0, e.Pending())
 	add := func(evs []*event) {
@@ -67,14 +63,6 @@ func (e *Engine) CaptureState() EngineState {
 		for t := e.lanes[i].head; t != nil; t = t.next {
 			if t.idx != idxNone { // skip tombstones
 				st.Pending = append(st.Pending, EventRecord{At: t.at, Seq: t.seq})
-			}
-		}
-	}
-	if l := e.lad; l != nil {
-		add(l.active)
-		for _, s := range l.segs {
-			for b := s.cur; b < ladBuckets; b++ {
-				add(s.buckets[b])
 			}
 		}
 	}
@@ -113,9 +101,7 @@ type RebindFunc func(EventRecord) (func(), bool)
 // the state is validated and the replacement queues are built in scratch
 // storage first, and the engine is only mutated after every step has
 // succeeded — a failed restore leaves it exactly as it was (FuzzRestoreState
-// asserts this). The restored engine keeps its own queue discipline;
-// st.Queue records what the source used but does not constrain the target,
-// since both disciplines implement the identical total order.
+// asserts this).
 func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	// Validate before touching anything.
 	var prev EventRecord
@@ -135,28 +121,18 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	// Build scratch queues. Every band-0 event goes to the residual queue;
 	// the delay lanes start empty and fill with the run's new events.
 	// Records arrive sorted by (At, Seq); a sorted array is already a valid
-	// min-heap, so band assignment is the only work for the heap
-	// discipline. Under the ladder every event is pushed into a fresh
-	// ladder, growing upper rungs as needed — drains refine them lazily,
-	// and pop order is a function of (at, seq) alone, not placement.
+	// min-heap, so band assignment is the only work.
 	var q, qa []*event
-	var lad *ladder
-	if e.lad != nil {
-		lad = new(ladder)
-	}
 	for _, rec := range st.Pending {
 		fn, ok := rebind(rec)
 		if !ok {
 			return fmt.Errorf("sim: restore: no rebinding for event at=%d seq=%#x", rec.At, rec.Seq)
 		}
 		t := &event{eng: e, at: rec.At, seq: rec.Seq, fn: fn, idx: -1}
-		switch {
-		case rec.Seq&arrivalBand != 0:
+		if rec.Seq&arrivalBand != 0 {
 			t.idx = int32(len(qa))
 			qa = append(qa, t)
-		case lad != nil:
-			lad.push(t)
-		default:
+		} else {
 			t.idx = int32(len(q))
 			q = append(q, t)
 		}
@@ -166,7 +142,7 @@ func (e *Engine) RestoreState(st EngineState, rebind RebindFunc) error {
 	e.now = st.Now
 	e.seq = st.Seq
 	e.nEvent = st.Events
-	e.q, e.qa, e.lad = q, qa, lad
+	e.q, e.qa = q, qa
 	e.resetLanes()
 	e.free, e.freeN = nil, 0
 	e.src = NewCountingSource(e.seed)

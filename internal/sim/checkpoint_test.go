@@ -28,14 +28,11 @@ func fillRandom(e *Engine, rng *rand.Rand, n int, spread int64) {
 	}
 }
 
-func testRoundTripPopOrder(t *testing.T, q QueueDiscipline, fill func(e *Engine)) {
-	src := NewEngineQueue(7, q)
+func testRoundTripPopOrder(t *testing.T, fill func(e *Engine)) {
+	src := NewEngine(7)
 	fill(src)
 
 	st := src.CaptureState()
-	if st.Queue != q {
-		t.Fatalf("captured discipline %v, want %v", st.Queue, q)
-	}
 	if len(st.Pending) != src.Pending() {
 		t.Fatalf("captured %d pending records, source has %d live events", len(st.Pending), src.Pending())
 	}
@@ -52,93 +49,40 @@ func testRoundTripPopOrder(t *testing.T, q QueueDiscipline, fill func(e *Engine)
 		}
 	}
 
-	// Restore into both disciplines; pop order must equal the captured
-	// execution order (st.Pending is already sorted into it).
-	for _, dq := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		dst := NewEngineQueue(7, dq)
-		var got []EventRecord
-		err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
-			return func() { got = append(got, rec) }, true
-		})
-		if err != nil {
-			t.Fatalf("restore into %v: %v", dq, err)
+	// Pop order after a restore must equal the captured execution order
+	// (st.Pending is already sorted into it).
+	dst := NewEngine(7)
+	var got []EventRecord
+	err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
+		return func() { got = append(got, rec) }, true
+	})
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if dst.Now() != st.Now || dst.Pending() != len(st.Pending) {
+		t.Fatalf("restore: now=%d pending=%d, want %d/%d", dst.Now(), dst.Pending(), st.Now, len(st.Pending))
+	}
+	dst.RunAll()
+	if len(got) != len(st.Pending) {
+		t.Fatalf("restore: popped %d events, want %d", len(got), len(st.Pending))
+	}
+	for i, rec := range st.Pending {
+		if got[i] != rec {
+			t.Fatalf("restore: pop %d = %+v, want %+v", i, got[i], rec)
 		}
-		if dst.Now() != st.Now || dst.Pending() != len(st.Pending) {
-			t.Fatalf("restore into %v: now=%d pending=%d, want %d/%d",
-				dq, dst.Now(), dst.Pending(), st.Now, len(st.Pending))
-		}
-		dst.RunAll()
-		if len(got) != len(st.Pending) {
-			t.Fatalf("restore into %v: popped %d events, want %d", dq, len(got), len(st.Pending))
-		}
-		for i, rec := range st.Pending {
-			if got[i] != rec {
-				t.Fatalf("restore into %v: pop %d = %+v, want %+v", dq, i, got[i], rec)
-			}
-		}
-		// The restored engine continues allocating seqs where the source
-		// left off.
-		if dst.seq != st.Seq {
-			t.Fatalf("restore into %v: seq %d, want %d", dq, dst.seq, st.Seq)
-		}
+	}
+	// The restored engine continues allocating seqs where the source
+	// left off.
+	if dst.seq != st.Seq {
+		t.Fatalf("restore: seq %d, want %d", dst.seq, st.Seq)
 	}
 }
 
 func TestCaptureRestoreHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	testRoundTripPopOrder(t, QueueHeap, func(e *Engine) {
+	testRoundTripPopOrder(t, func(e *Engine) {
 		e.Run(1000)
 		fillRandom(e, rng, 500, 50_000)
-	})
-}
-
-func TestCaptureRestoreLadderOverflowTier(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	testRoundTripPopOrder(t, QueueLadder, func(e *Engine) {
-		// Everything lands in the overflow tier (fresh ladder, activeEnd
-		// 0), including far-future stragglers.
-		fillRandom(e, rng, 300, 10_000)
-		e.Schedule(5_000_000, func() {})
-		e.Schedule(5_000_001, func() {})
-	})
-}
-
-func TestCaptureRestoreLadderSpawnedRung(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	testRoundTripPopOrder(t, QueueLadder, func(e *Engine) {
-		// Force a rung spawn: > ladSpawnMin events dense in one narrow
-		// range plus a wide spread, then drain past the first bucket so
-		// advance() re-buckets and spawns a min-anchored finer segment.
-		for i := 0; i < ladSpawnMin+200; i++ {
-			e.Schedule(Time(800_000+rng.Int63n(2_000)), func() {})
-		}
-		fillRandom(e, rng, 400, 3_000_000)
-		e.Run(700_000) // drain into the segment structure mid-ladder
-		if len(e.lad.segs) == 0 {
-			t.Fatal("test did not build any ladder segments")
-		}
-		fillRandom(e, rng, 100, 1_000_000) // gap-clamped inserts at the drained frontier
-	})
-}
-
-func TestCaptureRestoreLadderCancelledSlots(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	testRoundTripPopOrder(t, QueueLadder, func(e *Engine) {
-		var timers []Timer
-		for i := 0; i < 2_000; i++ {
-			at := Time(rng.Int63n(500_000))
-			timers = append(timers, e.Schedule(at, func() {}))
-		}
-		e.Run(100_000) // move the drain front into the structure
-		// Cancel a third of what's left — swap-deleted bucket slots and
-		// heap-removed drain-front entries must simply be absent from the
-		// capture.
-		for i, tm := range timers {
-			if i%3 == 0 {
-				tm.Cancel()
-			}
-		}
-		fillRandom(e, rng, 200, 400_000)
 	})
 }
 
@@ -149,38 +93,36 @@ func TestCaptureRestoreLadderCancelledSlots(t *testing.T) {
 // events only, and a restore (which rebuilds everything into the
 // residual queue) must drain in the captured order.
 func TestCaptureRestoreDelayLanes(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		rng := rand.New(rand.NewSource(6))
-		testRoundTripPopOrder(t, q, func(e *Engine) {
-			var timers []Timer
-			for at := Time(0); at < 400_000; at += Time(rng.Intn(2_000)) {
-				timers = append(timers, e.Schedule(at, func() {}))
+	rng := rand.New(rand.NewSource(6))
+	testRoundTripPopOrder(t, func(e *Engine) {
+		var timers []Timer
+		for at := Time(0); at < 400_000; at += Time(rng.Intn(2_000)) {
+			timers = append(timers, e.Schedule(at, func() {}))
+		}
+		for i := 0; i < 600; i++ {
+			timers = append(timers, e.After(recurringDelays[rng.Intn(len(recurringDelays))], func() {}))
+			if i%50 == 0 {
+				e.Run(e.Now().Add(Duration(rng.Intn(20_000))))
 			}
-			for i := 0; i < 600; i++ {
-				timers = append(timers, e.After(recurringDelays[rng.Intn(len(recurringDelays))], func() {}))
-				if i%50 == 0 {
-					e.Run(e.Now().Add(Duration(rng.Intn(20_000))))
-				}
+		}
+		fillRandom(e, rng, 200, 300_000)
+		if e.laneN == 0 || e.lhN < 2 {
+			t.Fatalf("setup put %d events on %d lanes", e.laneN, e.lhN)
+		}
+		tombs := 0
+		for i, tm := range timers {
+			if !tm.Active() || i%4 != 0 {
+				continue
 			}
-			fillRandom(e, rng, 200, 300_000)
-			if e.laneN == 0 || e.lhN < 2 {
-				t.Fatalf("%v: setup put %d events on %d lanes", q, e.laneN, e.lhN)
+			if ln := laneOf(tm); ln >= 0 && e.lanes[ln].head != tm.ev {
+				tombs++
 			}
-			tombs := 0
-			for i, tm := range timers {
-				if !tm.Active() || i%4 != 0 {
-					continue
-				}
-				if ln := laneOf(tm); ln >= 0 && e.lanes[ln].head != tm.ev {
-					tombs++
-				}
-				tm.Cancel()
-			}
-			if tombs == 0 {
-				t.Fatalf("%v: no cancellation left a tombstone", q)
-			}
-		})
-	}
+			tm.Cancel()
+		}
+		if tombs == 0 {
+			t.Fatal("no cancellation left a tombstone")
+		}
+	})
 }
 
 func TestCaptureRestoreArrivalBand(t *testing.T) {
@@ -222,33 +164,31 @@ func TestCaptureRestoreArrivalBand(t *testing.T) {
 func TestCaptureIsPure(t *testing.T) {
 	// Capturing must not perturb the run: two identical engines, one
 	// captured mid-run repeatedly, drain identically.
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		a := NewEngineQueue(9, q)
-		b := NewEngineQueue(9, q)
-		var ta, tb []Time
-		rngA, rngB := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
-		schedule := func(e *Engine, rng *rand.Rand, out *[]Time) {
-			for i := 0; i < 2_000; i++ {
-				at := Time(rng.Int63n(1_000_000))
-				e.Schedule(at, func() { *out = append(*out, e.Now()) })
-			}
+	a := NewEngine(9)
+	b := NewEngine(9)
+	var ta, tb []Time
+	rngA, rngB := rand.New(rand.NewSource(8)), rand.New(rand.NewSource(8))
+	schedule := func(e *Engine, rng *rand.Rand, out *[]Time) {
+		for i := 0; i < 2_000; i++ {
+			at := Time(rng.Int63n(1_000_000))
+			e.Schedule(at, func() { *out = append(*out, e.Now()) })
 		}
-		schedule(a, rngA, &ta)
-		schedule(b, rngB, &tb)
-		for _, horizon := range []Time{100_000, 400_000, 900_000} {
-			a.Run(horizon)
-			b.Run(horizon)
-			_ = a.CaptureState() // a is captured, b is the control
-		}
-		a.RunAll()
-		b.RunAll()
-		if len(ta) != len(tb) {
-			t.Fatalf("%v: %d vs %d events", q, len(ta), len(tb))
-		}
-		for i := range ta {
-			if ta[i] != tb[i] {
-				t.Fatalf("%v: event %d at %d vs %d", q, i, ta[i], tb[i])
-			}
+	}
+	schedule(a, rngA, &ta)
+	schedule(b, rngB, &tb)
+	for _, horizon := range []Time{100_000, 400_000, 900_000} {
+		a.Run(horizon)
+		b.Run(horizon)
+		_ = a.CaptureState() // a is captured, b is the control
+	}
+	a.RunAll()
+	b.RunAll()
+	if len(ta) != len(tb) {
+		t.Fatalf("%d vs %d events", len(ta), len(tb))
+	}
+	for i := range ta {
+		if ta[i] != tb[i] {
+			t.Fatalf("event %d at %d vs %d", i, ta[i], tb[i])
 		}
 	}
 }
@@ -317,30 +257,28 @@ func FuzzRestoreState(f *testing.F) {
 			}
 			st.Pending = append(st.Pending, rec)
 		}
-		for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-			dst := NewEngineQueue(2, q)
-			dst.Schedule(Time(now)+1_000_000, func() {})
-			dst.Run(Time(now) / 2)
-			before := dst.CaptureState()
-			var got []EventRecord
-			err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
-				return func() { got = append(got, rec) }, true
-			})
-			if err != nil {
-				after := dst.CaptureState()
-				if after.Now != before.Now || after.Seq != before.Seq || len(after.Pending) != len(before.Pending) {
-					t.Fatalf("%v: failed restore mutated engine", q)
-				}
-				continue
+		dst := NewEngine(2)
+		dst.Schedule(Time(now)+1_000_000, func() {})
+		dst.Run(Time(now) / 2)
+		before := dst.CaptureState()
+		var got []EventRecord
+		err := dst.RestoreState(st, func(rec EventRecord) (func(), bool) {
+			return func() { got = append(got, rec) }, true
+		})
+		if err != nil {
+			after := dst.CaptureState()
+			if after.Now != before.Now || after.Seq != before.Seq || len(after.Pending) != len(before.Pending) {
+				t.Fatal("failed restore mutated engine")
 			}
-			dst.RunAll()
-			if len(got) != len(st.Pending) {
-				t.Fatalf("%v: drained %d events, want %d", q, len(got), len(st.Pending))
-			}
-			for i, rec := range st.Pending {
-				if got[i] != rec {
-					t.Fatalf("%v: pop %d = %+v, want %+v", q, i, got[i], rec)
-				}
+			return
+		}
+		dst.RunAll()
+		if len(got) != len(st.Pending) {
+			t.Fatalf("drained %d events, want %d", len(got), len(st.Pending))
+		}
+		for i, rec := range st.Pending {
+			if got[i] != rec {
+				t.Fatalf("pop %d = %+v, want %+v", i, got[i], rec)
 			}
 		}
 	})

@@ -12,13 +12,12 @@ import "math/rand"
 // delay plus one for absolute-time schedules, each already sorted because
 // a lane only accepts an event that sorts after its tail. The rest — the
 // events no lane accepted — sit in the residual queue, an inlined 4-ary
-// min-heap ordered by (time, seq) or, under QueueLadder, the ladder
-// queue (ladder.go). A 4-ary layout halves tree depth versus binary, so
-// the sift loops touch fewer cache lines per operation, and inlining the
-// comparisons avoids container/heap's interface-call overhead. Step
-// merges the lane heads, the residual minimum and the band-1 arrival
-// root by the one (time, seq) order, so where an event was queued never
-// changes when it runs. Fired and cancelled events are recycled through a
+// min-heap ordered by (time, seq). A 4-ary layout halves tree depth
+// versus binary, so the sift loops touch fewer cache lines per
+// operation, and inlining the comparisons avoids container/heap's
+// interface-call overhead. Step merges the lane heads, the residual
+// minimum and the band-1 arrival root by the one (time, seq) order, so
+// where an event was queued never changes when it runs. Fired and cancelled events are recycled through a
 // free list, so steady-state scheduling allocates nothing.
 // Sharded execution (see Group) splits one simulation across several
 // engines and relies on a two-band ordering of the seq field: ordinary
@@ -30,8 +29,7 @@ import "math/rand"
 // order — the property that makes sharded runs byte-identical to serial.
 type Engine struct {
 	now    Time
-	q      []*event // residual band-0 events: 4-ary min-heap by (at, seq) (heap discipline)
-	lad    *ladder  // residual band-0 events, ladder discipline (nil selects the heap)
+	q      []*event // residual band-0 events: 4-ary min-heap by (at, seq)
 	qa     []*event // arrival-band events (ScheduleArrival), same order
 	seq    uint64
 	nEvent uint64 // total events executed, for instrumentation
@@ -56,56 +54,20 @@ type Engine struct {
 	lanes  [laneCount]lane
 }
 
-// QueueDiscipline selects the data structure holding the residual band-0
-// events — those no delay lane accepted (DESIGN.md §18); lanes run in
-// front of either. Both disciplines implement the identical (time, seq)
-// total order — execution order, and therefore every digest, is the same
-// under either; only the constant factors differ with event density
-// (DESIGN.md §13).
+// QueueDiscipline, QueueAuto, QueueHeap, PickQueue and NewEngineQueue
+// remain only because the perfbench module still names them; it is
+// their only caller, and the next change to perfbench deletes them. The
+// engine has one residual queue, the 4-ary heap, so every discipline is
+// the heap.
 type QueueDiscipline uint8
 
 const (
-	// QueueAuto picks a discipline from the expected event density hint.
 	QueueAuto QueueDiscipline = iota
-	// QueueHeap is the inlined 4-ary min-heap: fastest at the event
-	// densities of small fabrics, where near-sorted pushes terminate
-	// their sift almost immediately.
 	QueueHeap
-	// QueueLadder is the calendar/ladder queue (ladder.go): O(1) bucket
-	// appends that win once the pending population is large.
-	QueueLadder
 )
 
-func (q QueueDiscipline) String() string {
-	switch q {
-	case QueueHeap:
-		return "heap"
-	case QueueLadder:
-		return "ladder"
-	default:
-		return "auto"
-	}
-}
-
-// LadderDensityMin is the expected-pending-events hint at which QueueAuto
-// selects the ladder queue. Set from the head-to-head hold-model
-// benchmarks in internal/experiments (BenchmarkEngineHold…): the heap
-// wins clearly below ~4k pending events, the ladder at and above ~16k;
-// the crossover sits between. See DESIGN.md §13.
-const LadderDensityMin = 8192
-
-// PickQueue resolves QueueAuto against an expected event-density hint
-// (roughly the number of concurrently pending events the simulation will
-// hold). Explicit disciplines pass through unchanged.
-func PickQueue(q QueueDiscipline, expectedPending int) QueueDiscipline {
-	if q != QueueAuto {
-		return q
-	}
-	if expectedPending >= LadderDensityMin {
-		return QueueLadder
-	}
-	return QueueHeap
-}
+// PickQueue returns QueueHeap; see QueueDiscipline.
+func PickQueue(QueueDiscipline, int) QueueDiscipline { return QueueHeap }
 
 // maxFreeEvents bounds the event free list. A transient event burst
 // (fan-in spikes at high load hold 10^6+ concurrent events) would
@@ -126,9 +88,9 @@ type event struct {
 	at  Time
 	seq uint64
 	gen uint32 //ckpt:skip timer-invalidation stamp; outstanding Timers cannot outlive a restore
-	// idx is the heap or bucket slot; for lane events idxLane0 minus the
-	// lane, and idxNone once the event is off every queue (a cancelled
-	// lane event keeps its list position as a tombstone with idxNone).
+	// idx is the heap slot; for lane events idxLane0 minus the lane,
+	// and idxNone once the event is off every queue (a cancelled lane
+	// event keeps its list position as a tombstone with idxNone).
 	idx int32 //ckpt:skip queue location, physical layout normalized away by EngineState
 
 	// Exactly one of fn / fnArgs is set. The argument form lets hot paths
@@ -138,12 +100,6 @@ type event struct {
 	a, b   any                   //ckpt:skip closure arguments, rebound with fnArgs
 	i      int                   //ckpt:skip closure argument, rebound with fnArgs
 	fn     func()                //ckpt:skip closure, rebound by RebindFunc on restore
-
-	// bkt locates the event under the ladder discipline: nil while in a
-	// heap (idx is the heap slot), else the unsorted bucket or overflow
-	// slice holding it (idx is the slice slot). Always nil under the
-	// heap discipline.
-	bkt *[]*event //ckpt:skip ladder bucket location, physical layout normalized away by EngineState
 
 	next *event //ckpt:skip free-list or lane link, physical layout normalized away by EngineState
 }
@@ -179,34 +135,17 @@ func (t Timer) Cancel() {
 	}
 }
 
-// NewEngine returns an engine with the clock at zero, a random source
-// seeded with seed, and the heap queue discipline.
+// NewEngine returns an engine with the clock at zero and a random source
+// seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return NewEngineQueue(seed, QueueHeap)
-}
-
-// NewEngineQueue returns an engine using the given queue discipline for
-// its band-0 events (QueueAuto here means QueueHeap; resolve density
-// hints with PickQueue first). The discipline is fixed for the engine's
-// lifetime. Execution order — and so every simulation result — is
-// identical under either discipline.
-func NewEngineQueue(seed int64, q QueueDiscipline) *Engine {
 	src := NewCountingSource(seed)
 	e := &Engine{seed: seed, src: src, rng: rand.New(src)}
-	if q == QueueLadder {
-		e.lad = new(ladder)
-	}
 	e.resetLanes()
 	return e
 }
 
-// Queue reports the engine's residual band-0 queue discipline.
-func (e *Engine) Queue() QueueDiscipline {
-	if e.lad != nil {
-		return QueueLadder
-	}
-	return QueueHeap
-}
+// NewEngineQueue is NewEngine; see QueueDiscipline.
+func NewEngineQueue(seed int64, _ QueueDiscipline) *Engine { return NewEngine(seed) }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -235,11 +174,7 @@ func (e *Engine) Events() uint64 { return e.nEvent }
 // events stop counting immediately (a cancelled lane event's tombstone
 // included).
 func (e *Engine) Pending() int {
-	n := len(e.q) + len(e.qa) + e.laneN
-	if e.lad != nil {
-		n += e.lad.n
-	}
-	return n
+	return len(e.q) + len(e.qa) + e.laneN
 }
 
 // alloc takes an event from the free list, or makes one.
@@ -272,7 +207,6 @@ func (e *Engine) invalidate(t *event) {
 	t.a, t.b = nil, nil
 	t.i = 0
 	t.idx = idxNone
-	t.bkt = nil
 }
 
 // reclaim returns an invalidated event to the free list — unless the
@@ -324,25 +258,12 @@ func (e *Engine) newEvent(at Time) *event {
 	return t
 }
 
-// pushResidual inserts t into the residual queue (heap or ladder).
+// pushResidual inserts t into the residual heap.
 func (e *Engine) pushResidual(t *event) {
-	if e.lad != nil {
-		e.lad.push(t)
-		return
-	}
 	t.idx = int32(len(e.q))
 	//lint:ignore hotalloc heap growth is amortized to the peak event population; the backing array is reused for the rest of the run
 	e.q = append(e.q, t)
 	siftUp(e.q, int(t.idx))
-}
-
-// mainPop removes and returns the earliest residual band-0 event; the
-// caller guarantees one exists.
-func (e *Engine) mainPop() *event {
-	if e.lad != nil {
-		return e.lad.pop()
-	}
-	return popRoot(&e.q)
 }
 
 // arrivalBand is the top bit of the seq ordering key. Engine-local
@@ -428,8 +349,8 @@ func (e *Engine) ScheduleFunc(at Time, fn func(a, b any, i int), a, b any, i int
 // immediately reuse the storage by scheduling new events; its own handle
 // is already inert by the time it executes.
 //
-//lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold at both disciplines
-func (e *Engine) Step() bool { return e.stepUntil(ladTimeMax) } // ladTimeMax: the end of the time axis
+//lint:hotpath event drain loop; 0-alloc contract of BenchmarkEngineHold
+func (e *Engine) Step() bool { return e.stepUntil(timeMax) }
 
 // Event sources nextSource chooses between.
 const (
@@ -447,14 +368,8 @@ func (e *Engine) nextSource() (Time, int) {
 	var at Time
 	var seq uint64
 	src := srcNone
-	if e.lad == nil {
-		if len(e.q) > 0 {
-			at, seq, src = e.q[0].at, e.q[0].seq, srcMain
-		}
-	} else if m := e.lad.min(); m != nil {
-		// The ladder may advance its drain front here: a pure
-		// restructuring, pop order is unaffected.
-		at, seq, src = m.at, m.seq, srcMain
+	if len(e.q) > 0 {
+		at, seq, src = e.q[0].at, e.q[0].seq, srcMain
 	}
 	if e.lhN > 0 {
 		if k := &e.lh[0]; src == srcNone || k.at < at || (k.at == at && k.seq < seq) {
@@ -481,7 +396,7 @@ func (e *Engine) stepUntil(until Time) bool {
 	case srcLane:
 		t = e.lanePop()
 	case srcMain:
-		t = e.mainPop()
+		t = popRoot(&e.q)
 	default:
 		t = popRoot(&e.qa)
 	}
@@ -563,11 +478,7 @@ func (e *Engine) remove(t *event) {
 		e.laneCancel(t)
 		return
 	}
-	if e.lad != nil {
-		e.lad.remove(t)
-	} else {
-		heapRemove(&e.q, t)
-	}
+	heapRemove(&e.q, t)
 	e.recycle(t)
 }
 

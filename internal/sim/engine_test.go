@@ -415,3 +415,28 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 		e.Step()
 	}
 }
+
+// TestEngineFreeListCap verifies the free-list bound: after a burst far
+// above maxFreeEvents drains, the engine retains at most maxFreeEvents
+// recycled events and drops the rest for the GC.
+func TestEngineFreeListCap(t *testing.T) {
+	old := maxFreeEvents
+	maxFreeEvents = 64
+	defer func() { maxFreeEvents = old }()
+
+	e := NewEngine(1)
+	for i := 0; i < 1000; i++ {
+		e.Schedule(Time(i), func() {})
+	}
+	e.RunAll()
+	if e.freeN > 64 {
+		t.Fatalf("free list holds %d events, cap is 64", e.freeN)
+	}
+	n := 0
+	for ev := e.free; ev != nil; ev = ev.next {
+		n++
+	}
+	if n != e.freeN {
+		t.Fatalf("free list length %d, counter says %d", n, e.freeN)
+	}
+}

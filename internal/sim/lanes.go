@@ -10,20 +10,19 @@ package sim
 // queue with O(1) push and pop. Simulations schedule overwhelmingly from
 // a handful of recurring delays — host and switch latencies,
 // serialization times, serialization plus propagation, protocol pacing
-// ticks — so nearly every band-0 event can bypass the heap (or ladder)
-// entirely. Absolute-time Schedule/ScheduleFunc calls share one extra
-// lane, which takes an arrival-sorted trace injected at t=0 as one FIFO
-// instead of thousands of heap entries.
+// ticks — so nearly every band-0 event can bypass the heap entirely.
+// Absolute-time Schedule/ScheduleFunc calls share one extra lane, which
+// takes an arrival-sorted trace injected at t=0 as one FIFO instead of
+// thousands of heap entries.
 //
 // Correctness never depends on which lane an event was offered to: a
 // lane accepts an event only if it sorts after the lane's tail, so every
 // lane stays sorted, and any event a lane refuses goes to the residual
-// queue (the heap or ladder). Execution merges the lane heads — kept in a
-// small binary heap with each head's (at, seq) stored inline — with the
-// residual queue's minimum and the band-1 arrival heap's root, by the
-// same (time, seq) order as ever. Which structure holds an event is
-// physical layout; the execution order, and so every digest, is the one
-// total order.
+// heap. Execution merges the lane heads — kept in a small binary heap
+// with each head's (at, seq) stored inline — with the residual heap's
+// minimum and the band-1 arrival heap's root, by the same (time, seq)
+// order as ever. Which structure holds an event is physical layout; the
+// execution order, and so every digest, is the one total order.
 //
 // Binding. The relative lanes form a direct-mapped table indexed by a
 // hash of the delay, probed at two adjacent slots. A slot whose delay

@@ -54,18 +54,16 @@ func TestDelayLaneBindsOnRecurrence(t *testing.T) {
 // TestDelayLaneRandomDelaysStayResidual: delays that never recur never
 // bind a lane; they cost one probe and go to the residual queue.
 func TestDelayLaneRandomDelaysStayResidual(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		e := NewEngineQueue(1, q)
-		const n = 2000
-		for i := 0; i < n; i++ {
-			e.AfterFunc(Duration(1+(i*7919)%100_003), nopArgs, nil, nil, i)
-		}
-		if e.laneN != 0 || e.lhN != 0 {
-			t.Fatalf("%v: distinct delays put %d events on %d lanes", q, e.laneN, e.lhN)
-		}
-		if e.Pending() != n {
-			t.Fatalf("%v: pending %d, want %d", q, e.Pending(), n)
-		}
+	e := NewEngine(1)
+	const n = 2000
+	for i := 0; i < n; i++ {
+		e.AfterFunc(Duration(1+(i*7919)%100_003), nopArgs, nil, nil, i)
+	}
+	if e.laneN != 0 || e.lhN != 0 {
+		t.Fatalf("distinct delays put %d events on %d lanes", e.laneN, e.lhN)
+	}
+	if e.Pending() != n {
+		t.Fatalf("pending %d, want %d", e.Pending(), n)
 	}
 }
 
@@ -166,26 +164,24 @@ func TestDelayLaneTombstones(t *testing.T) {
 // included) all take the absolute lane; one out of order goes to the
 // residual queue and still runs in (at, seq) order.
 func TestAbsoluteLaneSortedTrace(t *testing.T) {
-	for _, q := range []QueueDiscipline{QueueHeap, QueueLadder} {
-		e := NewEngineQueue(1, q)
-		var ran []Time
-		for i := 0; i < 100; i++ {
-			at := Time(1_000 + 10*(i/2))
-			if tm := e.Schedule(at, func() { ran = append(ran, e.Now()) }); laneOf(tm) != laneAbs {
-				t.Fatalf("%v: sorted schedule %d went to lane %d", q, i, laneOf(tm))
-			}
+	e := NewEngine(1)
+	var ran []Time
+	for i := 0; i < 100; i++ {
+		at := Time(1_000 + 10*(i/2))
+		if tm := e.Schedule(at, func() { ran = append(ran, e.Now()) }); laneOf(tm) != laneAbs {
+			t.Fatalf("sorted schedule %d went to lane %d", i, laneOf(tm))
 		}
-		if tm := e.Schedule(1_005, func() { ran = append(ran, e.Now()) }); laneOf(tm) >= 0 {
-			t.Fatalf("%v: out-of-order schedule went to lane %d", q, laneOf(tm))
-		}
-		e.RunAll()
-		if len(ran) != 101 {
-			t.Fatalf("%v: ran %d events", q, len(ran))
-		}
-		for i := 1; i < len(ran); i++ {
-			if ran[i] < ran[i-1] {
-				t.Fatalf("%v: out of order at %d: %d after %d", q, i, ran[i], ran[i-1])
-			}
+	}
+	if tm := e.Schedule(1_005, func() { ran = append(ran, e.Now()) }); laneOf(tm) >= 0 {
+		t.Fatalf("out-of-order schedule went to lane %d", laneOf(tm))
+	}
+	e.RunAll()
+	if len(ran) != 101 {
+		t.Fatalf("ran %d events", len(ran))
+	}
+	for i := 1; i < len(ran); i++ {
+		if ran[i] < ran[i-1] {
+			t.Fatalf("out of order at %d: %d after %d", i, ran[i], ran[i-1])
 		}
 	}
 }

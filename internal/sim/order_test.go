@@ -14,9 +14,9 @@ import (
 // issued from outside any callback, so the reference can replay it with
 // nothing but a sorted (at, seq) model of the engine's contract: band-0
 // events take the next sequence number, band-1 events take
-// arrivalBand|key, and the earliest (at, seq) always runs next. Both queue
-// disciplines — each with its delay lanes in front — must match it event
-// for event.
+// arrivalBand|key, and the earliest (at, seq) always runs next. The
+// engine — its delay lanes, residual heap and arrival heap together —
+// must match it event for event.
 
 type scriptKind uint8
 
@@ -81,10 +81,6 @@ type engineRun struct {
 	order  []string
 	timers []Timer
 	cursor Time // opAbsNext's last absolute time
-}
-
-func newEngineRun(q QueueDiscipline) *engineRun {
-	return &engineRun{eng: NewEngineQueue(7, q)}
 }
 
 func logTag(a, _ any, i int) {
@@ -205,7 +201,7 @@ func (q *refQueue) apply(o scriptOp) {
 		}
 	case opStep:
 		for k := 0; k < o.n; k++ {
-			q.step(ladTimeMax)
+			q.step(timeMax)
 		}
 	case opRun:
 		until := q.now.Add(o.delay)
@@ -229,50 +225,60 @@ func (q *refQueue) state() EngineState {
 }
 
 // checkScript replays ops through the reference and through an engine
-// of each discipline in lockstep. At every opCheck it asserts live-only
-// Pending and a CaptureState equal across disciplines and to the
-// reference's; at the end, identical execution orders.
+// in lockstep. At every opCheck it asserts live-only Pending and a
+// CaptureState equal to the reference's; at the end, identical execution
+// orders.
 func checkScript(t *testing.T, name string, ops []scriptOp) {
 	t.Helper()
 	ref := &refQueue{}
-	runs := []*engineRun{newEngineRun(QueueHeap), newEngineRun(QueueLadder)}
+	r := &engineRun{eng: NewEngine(7)}
 	for i, o := range ops {
 		ref.apply(o)
-		for _, r := range runs {
-			r.apply(o)
-		}
+		r.apply(o)
 		if o.kind != opCheck {
 			continue
 		}
 		want := ref.state()
-		for _, r := range runs {
-			if got := r.eng.Pending(); got != len(want.Pending) {
-				t.Fatalf("%s: op %d: %v engine Pending() = %d, reference holds %d live events",
-					name, i, r.eng.Queue(), got, len(want.Pending))
-			}
-			got := r.eng.CaptureState()
-			got.Queue = 0
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: op %d: %v engine captured\n%+v\nreference\n%+v", name, i, r.eng.Queue(), got, want)
-			}
+		if got := r.eng.Pending(); got != len(want.Pending) {
+			t.Fatalf("%s: op %d: engine Pending() = %d, reference holds %d live events",
+				name, i, got, len(want.Pending))
+		}
+		if got := r.eng.CaptureState(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: op %d: engine captured\n%+v\nreference\n%+v", name, i, got, want)
 		}
 	}
-	for ref.step(ladTimeMax) {
+	for ref.step(timeMax) {
 	}
-	for _, r := range runs {
-		r.eng.RunAll()
-		if len(r.order) != len(ref.order) {
-			t.Fatalf("%s: %v engine ran %d events, reference %d", name, r.eng.Queue(), len(r.order), len(ref.order))
+	r.eng.RunAll()
+	if len(r.order) != len(ref.order) {
+		t.Fatalf("%s: engine ran %d events, reference %d", name, len(r.order), len(ref.order))
+	}
+	for i := range ref.order {
+		if r.order[i] != ref.order[i] {
+			t.Fatalf("%s: engine diverges from the reference at event %d: %s, want %s",
+				name, i, r.order[i], ref.order[i])
 		}
-		for i := range ref.order {
-			if r.order[i] != ref.order[i] {
-				t.Fatalf("%s: %v engine diverges from the reference at event %d: %s, want %s",
-					name, r.eng.Queue(), i, r.order[i], ref.order[i])
-			}
-		}
-		if r.eng.Pending() != 0 {
-			t.Fatalf("%s: %v engine drained with Pending() = %d", name, r.eng.Queue(), r.eng.Pending())
-		}
+	}
+	if r.eng.Pending() != 0 {
+		t.Fatalf("%s: engine drained with Pending() = %d", name, r.eng.Pending())
+	}
+}
+
+// TestQueueDisciplineEquivalence is the property test behind the
+// engine's order claim: identical randomized scripts executed through
+// the engine — delay lanes in front of the residual heap and the band-1
+// arrival heap — and through the sorted (at, seq) reference queue
+// produce the identical execution order. The scripts mix recurring
+// delays that bind lanes, more distinct recurring delays than the lane
+// table holds (forcing rebinding), random delays from nanoseconds to
+// fractions of a second, absolute schedules in sorted and unsorted
+// order, band-1 arrivals with same-instant ties, cancellation of lane
+// heads, middles and tails, and Step bursts; at random points live-only
+// Pending() and the captured EngineState must match the reference.
+func TestQueueDisciplineEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 50; trial++ {
+		checkScript(t, fmt.Sprintf("trial %d", trial), randomScript(rng, 200+rng.Intn(1600)))
 	}
 }
 
@@ -331,9 +337,8 @@ func randomScript(rng *rand.Rand, n int) []scriptOp {
 			o.kind = opAfter
 			o.delay = distinct[rng.Intn(len(distinct))]
 		default:
-			// Random delays spanning every ladder tier: small lands in
-			// active/near buckets, huge in the upper rungs, and the modulo
-			// clustering packs bucket bursts.
+			// Random delays across many decades: they never bind a
+			// lane and fill the residual heap.
 			o.kind = opAfter
 			switch rng.Intn(4) {
 			case 0:
@@ -400,7 +405,7 @@ func decodeScript(data []byte) []scriptOp {
 // FuzzEngineOrder checks arbitrary scripts — After with recurring and
 // random delays, absolute Schedule in any order, ScheduleArrival, Cancel
 // of lane heads, middles and tails, Step bursts and Run horizons —
-// against the reference queue under both disciplines.
+// against the reference queue.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 1, 0, 5, 0, 0, 6, 3, 0, 1, 2, 0})
 	f.Add([]byte{3, 9, 4, 3, 1, 2, 4, 5, 0, 5, 1, 0, 5, 2, 7, 6, 15, 0})

@@ -2,7 +2,7 @@
 // a nanosecond-resolution virtual clock (stored in picoseconds so that
 // sub-nanosecond serialization times on 400 Gbps links stay exact), an
 // event queue with stable FIFO ordering for simultaneous events
-// (per-delay FIFO lanes in front of a 4-ary heap or a ladder queue),
+// (per-delay FIFO lanes in front of a 4-ary heap),
 // cancellable timers, and a seeded random source.
 //
 // The engine is single-threaded by design: all hosts, switches and links
@@ -10,13 +10,19 @@
 // identical seeds bit-for-bit reproducible.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in simulated time, measured in integer picoseconds.
 // Picosecond resolution keeps the serialization delay of a 64-byte control
 // packet on a 400 Gbps link (1.28 ns) exact, avoiding the cumulative
 // rounding drift a nanosecond clock would suffer.
 type Time int64
+
+// timeMax is the end of the time axis.
+const timeMax = Time(math.MaxInt64)
 
 // Duration is a span of simulated time in picoseconds. Time and Duration
 // are distinct types so that "point + span" arithmetic is explicit.
